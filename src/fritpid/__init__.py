@@ -9,12 +9,12 @@ closed-loop experiments.
 from .adaptive import (
     DenominatorUnderflowError,
     DirectionalForgettingRls,
+    Estimator,
     ExponentialResettingRls,
     NumericalBreakdownError,
     RegressorGenerator,
     RlsEstimator,
     SingularInformationError,
-    make_estimator,
     symmetric_eigen_bounds,
 )
 from .controller import PidBasis, PidController, as_gains, pid_filter
@@ -49,6 +49,7 @@ __all__ = [
     "ConfigError",
     "DenominatorUnderflowError",
     "DirectionalForgettingRls",
+    "Estimator",
     "ExponentialResettingRls",
     "InverseNotProperError",
     "LtiPlant",
@@ -69,7 +70,6 @@ __all__ = [
     "compare_methods",
     "fictitious_reference",
     "frit_cost",
-    "make_estimator",
     "method_variants",
     "mu_sweep",
     "one_minus",

@@ -1,23 +1,25 @@
-"""Recursive tuning engines.
+"""Recursive tuning engine.
 
 Streaming closed-loop samples (y, u) are turned into regression pairs
 
     phi(k) = basis(z) * {1 - Gm(z)} y(k),      d(k) = Gm(z) u(k)
 
 and the auxiliary error phi^T theta - d is driven to zero by recursive least
-squares.  Four gain-update variants are provided:
+squares.  One class, `Estimator`, holds the gains theta, the information
+matrix R and its inverse, the covariance P.  Its four modes are four update
+rules for R:
 
-* plain RLS (no forgetting, mu = 1) and exponential forgetting (mu < 1),
-  which discounts the whole information matrix R <- mu*R + phi*phi^T;
-* directional forgetting, which discounts only the rank-one component of R
-  along the current regressor, so directions the data stops exciting are
-  never forgotten (no estimator windup);
-* exponential resetting, which pulls R toward a designer-chosen SPD floor
-  R_inf, R <- mu*R + (1-mu)*R_inf + phi*phi^T.
+* ``noforget``: R <- R + phi*phi^T (plain RLS, mu = 1);
+* ``ef``: R <- mu*R + phi*phi^T, exponential forgetting, which discounts the
+  whole of R;
+* ``df``: directional forgetting (Kulhavy 1987), which discounts only the
+  rank-one slice of R along the current regressor, so directions the data
+  stops exciting are never forgotten (no estimator windup);
+* ``er``: R <- mu*R + (1-mu)*R_inf + phi*phi^T, exponential resetting
+  (Salgado, Goodwin & Middleton 1988), which pulls R toward an SPD floor.
 
-Every estimator keeps the covariance P and information matrix R as an exact
-inverse pair (directional forgetting maintains P by rank-one Sherman-Morrison
-steps; resetting re-solves P = R^-1 directly).
+Each rule keeps P and R an exact inverse pair: noforget/ef and df update P
+by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.
 """
 
 from __future__ import annotations
@@ -108,97 +110,68 @@ def _as_sample(phi, d) -> tuple[np.ndarray, float]:
     return phi, d
 
 
-class _RecursiveEstimator:
-    """Shared plumbing: theta/P/R state, diagnostics, copying."""
+class Estimator:
+    """Recursive least squares over the information matrix R.
 
-    mode = "?"
-
-    theta: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-    deadzone_active: bool
-
-    def copy(self):
-        new = object.__new__(type(self))
-        for k, v in self.__dict__.items():
-            setattr(new, k, v.copy() if isinstance(v, np.ndarray) else v)
-        return new
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """(min, max) eigenvalues of the covariance matrix."""
-        return symmetric_eigen_bounds(self.P)
-
-    def _residual(self, phi: np.ndarray, d: float) -> float:
-        return float(phi @ self.theta - d)
-
-    def _innovate(self, phi: np.ndarray, ehat: float) -> None:
-        # run after P has been updated for this sample
-        self.theta = self.theta + self.P @ phi * (-ehat)
-
-
-class RlsEstimator(_RecursiveEstimator):
-    """Recursive least squares, optionally with exponential forgetting.
-
-    mu = 1 keeps all past data (no forgetting); mu < 1 discounts it uniformly.
-    A shadow information matrix R (the inverse of P) is carried along purely
-    for diagnostics: under poor excitation and mu < 1 its smallest eigenvalue
-    collapses, which is the estimator-windup signature.
+    ``mode`` picks the R-update rule (noforget | ef | df | er, see the module
+    docstring); the sample check, the residual, the gain step and the
+    diagnostics are shared.  R(0) = r0 (a positive scalar times I, or an SPD
+    3x3 matrix) and P(0) = R(0)^-1 in every mode.  ``noforget`` forces
+    mu = 1.  Only ``df`` applies the deadzone ``epsilon``: a sample with
+    ||phi|| <= epsilon is skipped and theta, P and R are left bit-identical.
+    Only ``er`` uses the floor ``r_inf``, which R(0) must dominate.
     """
 
-    def __init__(self, theta0, p0=1e4, mu: float = 1.0):
+    def __init__(self, mode: str, theta0, mu: float = 0.9, epsilon: float = 1e-3,
+                 r0=0.01, r_inf=0.01):
+        mode = mode.lower()
+        if mode not in self._RULES:
+            raise ValueError(f"unknown estimator mode {mode!r}")
+        mu, epsilon = float(mu), float(epsilon)
         if not 0.0 < mu <= 1.0:
-            raise ValueError("forgetting factor mu must be in (0, 1]")
+            raise ValueError(f"forgetting factor mu must be in (0, 1], got {mu}")
+        if not 0.0 <= epsilon < math.inf:
+            raise ValueError(f"deadzone epsilon must be finite and >= 0, got {epsilon}")
+        self.mode = mode
+        self.mu = 1.0 if mode == "noforget" else mu
+        self.epsilon = epsilon
         self.theta = as_gains(theta0)
-        self.P = _as_init_matrix(p0, "P0")
-        self.R = _symmetrize(np.linalg.inv(self.P))
-        self.mu = float(mu)
-        self.mode = "noforget" if self.mu == 1.0 else "ef"
+        self.R = _as_init_matrix(r0, "r0")
+        self.R_inf = _as_init_matrix(r_inf, "r_inf")
+        if mode == "er":
+            gap_min, _ = symmetric_eigen_bounds(_symmetrize(self.R - self.R_inf))
+            if gap_min < -1e-12:
+                raise ValueError("r0 must dominate r_inf (r0 - r_inf is not PSD)")
+        self.P = _symmetrize(np.linalg.inv(self.R))
         self.deadzone_active = False
 
     def update(self, phi, d) -> float:
         """Absorb one sample; returns the pre-update residual phi^T theta - d."""
         phi, d = _as_sample(phi, d)
-        ehat = self._residual(phi, d)
+        ehat = float(phi @ self.theta - d)
+        if self.mode == "df":
+            self.deadzone_active = float(np.linalg.norm(phi)) <= self.epsilon
+            if self.deadzone_active:
+                return ehat
+        self._RULES[self.mode](self, phi)
+        # the gain step uses the P already updated for this sample
+        self.theta = self.theta + self.P @ phi * (-ehat)
+        return ehat
+
+    def eigenvalues(self) -> tuple[float, float]:
+        """(min, max) eigenvalues of the covariance matrix."""
+        return symmetric_eigen_bounds(self.P)
+
+    def _rls(self, phi: np.ndarray) -> None:
+        # noforget (mu = 1) and ef: R <- mu R + phi phi^T
         denom = self.mu + float(phi @ self.P @ phi)
         if denom <= 0.0:
             raise NumericalBreakdownError(f"gain denominator {denom} <= 0")
         Pphi = self.P @ phi
         self.P = _symmetrize((self.P - np.outer(Pphi, Pphi) / denom) / self.mu)
         self.R = _symmetrize(self.mu * self.R + np.outer(phi, phi))
-        self._innovate(phi, ehat)
-        return ehat
 
-
-class DirectionalForgettingRls(_RecursiveEstimator):
-    """RLS that forgets only along the current regressor direction.
-
-    Samples with ||phi|| <= epsilon (deadzone) are skipped outright; theta,
-    P, and R are left bit-identical.
-    """
-
-    mode = "df"
-
-    def __init__(self, theta0, r0=0.01, mu: float = 0.9, epsilon: float = 1e-3):
-        if not 0.0 < mu <= 1.0:
-            raise ValueError("forgetting factor mu must be in (0, 1]")
-        if epsilon < 0.0:
-            raise ValueError("deadzone threshold must be >= 0")
-        self.theta = as_gains(theta0)
-        self.R = _as_init_matrix(r0, "R0")
-        _check_spd(self.R, "R0")
-        self.P = _symmetrize(np.linalg.inv(self.R))
-        self.mu = float(mu)
-        self.epsilon = float(epsilon)
-        self.deadzone_active = False
-
-    def update(self, phi, d) -> float:
-        phi, d = _as_sample(phi, d)
-        ehat = self._residual(phi, d)
-        if float(np.linalg.norm(phi)) <= self.epsilon:
-            self.deadzone_active = True
-            return ehat
-        self.deadzone_active = False
-
+    def _df(self, phi: np.ndarray) -> None:
         a = float(phi @ self.R @ phi)
         if a < 1e-300:
             raise DenominatorUnderflowError(f"phi^T R phi = {a}")
@@ -214,40 +187,8 @@ class DirectionalForgettingRls(_RecursiveEstimator):
         self.P = _symmetrize(
             Pbar - np.outer(Pbar_phi, Pbar_phi) / (1.0 + float(phi @ Pbar_phi))
         )
-        self._innovate(phi, ehat)
-        return ehat
 
-
-class ExponentialResettingRls(_RecursiveEstimator):
-    """Exponential forgetting with a pull toward an SPD information floor.
-
-    Requires R0 >= R_inf (as quadratic forms); with that, R stays above a
-    positive floor no matter how poor the excitation, so the covariance can
-    never wind up.  No deadzone is applied.
-    """
-
-    mode = "er"
-
-    def __init__(self, theta0, r0=0.01, r_inf=0.01, mu: float = 0.99):
-        if not 0.0 < mu <= 1.0:
-            raise ValueError("forgetting factor mu must be in (0, 1]")
-        self.theta = as_gains(theta0)
-        self.R = _as_init_matrix(r0, "R0")
-        self.R_inf = _as_init_matrix(r_inf, "R_inf")
-        _check_spd(self.R_inf, "R_inf")
-        gap_min, _ = symmetric_eigen_bounds(_symmetrize(self.R - self.R_inf))
-        if gap_min < -1e-12:
-            raise ValueError(
-                "R0 must dominate R_inf (R0 - R_inf has a negative eigenvalue)"
-            )
-        _check_spd(self.R, "R0")
-        self.P = _symmetrize(np.linalg.inv(self.R))
-        self.mu = float(mu)
-        self.deadzone_active = False
-
-    def update(self, phi, d) -> float:
-        phi, d = _as_sample(phi, d)
-        ehat = self._residual(phi, d)
+    def _er(self, phi: np.ndarray) -> None:
         self.R = _symmetrize(
             self.mu * self.R + (1.0 - self.mu) * self.R_inf + np.outer(phi, phi)
         )
@@ -255,42 +196,42 @@ class ExponentialResettingRls(_RecursiveEstimator):
             self.P = _symmetrize(np.linalg.inv(self.R))
         except np.linalg.LinAlgError:
             raise SingularInformationError("information matrix solve failed") from None
-        self._innovate(phi, ehat)
-        return ehat
+
+    _RULES = {"noforget": _rls, "ef": _rls, "df": _df, "er": _er}
 
 
-def _as_init_matrix(value, what: str) -> np.ndarray:
-    """Scalar -> scaled identity; matrix -> validated symmetric copy."""
+def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:
+    """Plain RLS (mu = 1) or exponential forgetting (mu < 1) from P(0) = p0."""
+    r0 = np.linalg.inv(_as_init_matrix(p0, "p0"))
+    return Estimator("noforget" if mu == 1.0 else "ef", theta0, mu=mu, r0=r0)
+
+
+def DirectionalForgettingRls(theta0, r0=0.01, mu: float = 0.9,
+                             epsilon: float = 1e-3) -> Estimator:
+    """`Estimator` in ``df`` mode."""
+    return Estimator("df", theta0, mu=mu, epsilon=epsilon, r0=r0)
+
+
+def ExponentialResettingRls(theta0, r0=0.01, r_inf=0.01, mu: float = 0.99) -> Estimator:
+    """`Estimator` in ``er`` mode."""
+    return Estimator("er", theta0, mu=mu, r0=r0, r_inf=r_inf)
+
+
+def _as_init_matrix(value, field: str) -> np.ndarray:
+    """Scalar -> scaled identity; matrix -> validated SPD symmetric copy."""
     if np.ndim(value) == 0:
         v = float(value)
-        if v <= 0.0:
-            raise ValueError(f"{what} scale must be positive")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{field} must be a positive finite scalar, got {v}")
         return v * np.eye(3)
     M = np.asarray(value, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError(f"{what} must be a 3x3 matrix or a positive scalar")
+    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
+        raise ValueError(f"{field} must be a finite 3x3 matrix or a positive scalar")
     if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError(f"{what} must be symmetric")
-    return _symmetrize(M)
-
-
-def make_estimator(
-    mode: str,
-    theta0,
-    mu: float = 0.99,
-    epsilon: float = 1e-3,
-    p0=100.0,
-    r0=0.01,
-    r_inf=0.01,
-):
-    """Build an estimator by mode name: noforget | ef | df | er."""
-    mode = mode.lower()
-    if mode == "noforget":
-        return RlsEstimator(theta0, p0=p0, mu=1.0)
-    if mode == "ef":
-        return RlsEstimator(theta0, p0=p0, mu=mu)
-    if mode == "df":
-        return DirectionalForgettingRls(theta0, r0=r0, mu=mu, epsilon=epsilon)
-    if mode == "er":
-        return ExponentialResettingRls(theta0, r0=r0, r_inf=r_inf, mu=mu)
-    raise ValueError(f"unknown estimator mode {mode!r}")
+        raise ValueError(f"{field} must be symmetric")
+    M = _symmetrize(M)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{field} must be positive definite") from None
+    return M

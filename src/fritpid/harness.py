@@ -13,12 +13,12 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adaptive import NumericalBreakdownError, RegressorGenerator, make_estimator
+from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
 from .controller import PidController, as_gains
 from .lti import RationalFilter, ReferenceModel
 from .plant import BoucWenParams, BoucWenPlant, LtiPlant
@@ -88,7 +88,6 @@ class EstimatorSpec:
     mode: str = "df"
     mu: float = 0.9
     epsilon: float = 1e-3
-    p0: float = 100.0
     r0: float = 0.01
     r_inf: float = 0.01
     theta0: list = field(default_factory=lambda: [0.1, 0.1, 0.01])
@@ -96,10 +95,7 @@ class EstimatorSpec:
     def build(self):
         if self.mode == "fixed":
             return None
-        return make_estimator(
-            self.mode, self.theta0, mu=self.mu, epsilon=self.epsilon,
-            p0=self.p0, r0=self.r0, r_inf=self.r_inf,
-        )
+        return Estimator(**asdict(self))  # the fields are Estimator's parameters
 
 
 @dataclass

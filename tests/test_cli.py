@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +44,18 @@ class TestRun:
 
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
+
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["mu", "epsilon", "r0", "r_inf"])
+    def test_non_finite_estimator_field_exits_2(
+        self, tmp_path, short_scenario, capsys, field, value, mode
+    ):
+        cfg = json.loads(short_scenario.read_text())
+        cfg["estimator"].update({"mode": mode, field: value})
+        short_scenario.write_text(json.dumps(cfg))
+        assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
+        assert re.search(rf"\b{field}\b", capsys.readouterr().err)
 
     def test_seed_flag_changes_noisy_trace(self, tmp_path, short_scenario):
         cfg = json.loads(short_scenario.read_text())

@@ -27,7 +27,6 @@ def identity_plant_config(mode="df", **estimator_overrides):
         "mode": mode,
         "mu": 0.99,
         "epsilon": 1e-3,
-        "p0": 100.0,
         "r0": 0.01,
         "r_inf": 0.01,
         "theta0": [0.5, 1.0, 0.0],
