@@ -20,6 +20,11 @@ rules for R:
 
 Each rule keeps P and R an exact inverse pair: noforget/ef and df update P
 by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.
+
+The per-step arithmetic is written out on Python floats: a symmetric 3x3
+matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
+every update is symmetric by construction, and numpy is used only for the
+array snapshots the estimator hands out.
 """
 
 from __future__ import annotations
@@ -59,55 +64,91 @@ class RegressorGenerator:
         self._gm_on_u.reset()
         self._basis.reset()
 
-    def step(self, y: float, u: float) -> tuple[np.ndarray, float]:
+    def step(self, y: float, u: float) -> tuple[tuple[float, float, float], float]:
         """Advance all internal filters one sample; returns (phi, d)."""
         phi = self._basis.step(self._gm_complement.step(y))
         d = self._gm_on_u.step(u)
         return phi, d
 
 
-def symmetric_eigen_bounds(P: np.ndarray) -> tuple[float, float]:
+def symmetric_eigen_bounds(P) -> tuple[float, float]:
     """Extreme eigenvalues of a symmetric 3x3 matrix, in closed form.
 
-    Uses the trigonometric solution of the characteristic cubic; falls back
-    to numpy for other sizes.
+    Uses the trigonometric solution of the characteristic cubic on the upper
+    triangle; falls back to numpy for other sizes.
     """
+    P = np.asarray(P, dtype=float)
     if P.shape != (3, 3):
         w = np.linalg.eigvalsh(P)
         return float(w[0]), float(w[-1])
-    p1 = P[0, 1] ** 2 + P[0, 2] ** 2 + P[1, 2] ** 2
-    q = (P[0, 0] + P[1, 1] + P[2, 2]) / 3.0
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = P.tolist()
+    return _eigen_bounds(a00, a01, a02, a11, a12, a22)
+
+
+def _eigen_bounds(a00, a01, a02, a11, a12, a22) -> tuple[float, float]:
+    p1 = a01 * a01 + a02 * a02 + a12 * a12
     if p1 == 0.0:
-        d = (P[0, 0], P[1, 1], P[2, 2])
-        return min(d), max(d)
-    p2 = (P[0, 0] - q) ** 2 + (P[1, 1] - q) ** 2 + (P[2, 2] - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    B = (P - q * np.eye(3)) / p
-    r = float(np.linalg.det(B)) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    lam_max = q + 2.0 * p * math.cos(phi)
-    lam_min = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return float(lam_min), float(lam_max)
+        return min(a00, a11, a22), max(a00, a11, a22)
+    q = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - q, a11 - q, a22 - q
+    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * p1) / 6.0)
+    # r = det(B) / 2 with B = (A - q I) / p, whose eigenvalues are 2 cos(.)
+    b00, b11, b22, b01, b02, b12 = d0 / p, d1 / p, d2 / p, a01 / p, a02 / p, a12 / p
+    r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+         + b02 * (b01 * b12 - b11 * b02)) / 2.0
+    phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
+    return q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0), q + 2.0 * p * math.cos(phi)
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+def _sym_matrix(m) -> np.ndarray:
+    a00, a01, a02, a11, a12, a22 = m
+    return np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
 
 
-def _check_spd(R: np.ndarray, what: str) -> None:
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError(f"{what} is not positive definite") from None
+def _is_spd(m) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive.
+
+    Tested through the Cholesky pivots, the ratios of consecutive minors,
+    which stay representable where the minors themselves would underflow.
+    """
+    a00, a01, a02, a11, a12, a22 = m
+    if not a00 > 0.0:
+        return False
+    piv1 = a11 - a01 * a01 / a00
+    if not piv1 > 0.0:
+        return False
+    l12 = a12 - a01 * a02 / a00
+    return a22 - a02 * a02 / a00 - l12 * l12 / piv1 > 0.0
 
 
-def _as_sample(phi, d) -> tuple[np.ndarray, float]:
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    d = float(d)
-    if not (np.all(np.isfinite(phi)) and math.isfinite(d)):
+def _inverse(m) -> tuple[float, ...]:
+    """Inverse of a symmetric 3x3 matrix by its adjugate.
+
+    The adjugate is taken of D M D with D = diag(M)^-1/2, which has a unit
+    diagonal, so the determinant neither under- nor overflows at any scale
+    or diagonal grading of an SPD input; then M^-1 = D (D M D)^-1 D.
+    """
+    a00, a01, a02, a11, a12, a22 = m
+    if not (0.0 < a00 < math.inf and 0.0 < a11 < math.inf and 0.0 < a22 < math.inf):
+        raise SingularInformationError(f"information matrix has diagonal {[a00, a11, a22]}")
+    d0, d1, d2 = 1.0 / math.sqrt(a00), 1.0 / math.sqrt(a11), 1.0 / math.sqrt(a22)
+    s01, s02, s12 = a01 * d0 * d1, a02 * d0 * d2, a12 * d1 * d2
+    c00, c01, c02 = 1.0 - s12 * s12, s02 * s12 - s01, s01 * s12 - s02
+    det = c00 + s01 * c01 + s02 * c02
+    if not 0.0 < det < math.inf:
+        raise SingularInformationError(f"information matrix is singular (scaled det {det})")
+    c11, c12, c22 = 1.0 - s02 * s02, s01 * s02 - s12, 1.0 - s01 * s01
+    return (c00 / det * d0 * d0, c01 / det * d0 * d1, c02 / det * d0 * d2,
+            c11 / det * d1 * d1, c12 / det * d1 * d2, c22 / det * d2 * d2)
+
+
+def _as_sample(phi, d) -> tuple[float, float, float, float]:
+    f0, f1, f2 = phi
+    f0, f1, f2, d = float(f0), float(f1), float(f2), float(d)
+    if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)
+            and math.isfinite(d)):
         raise NumericalBreakdownError("regressor sample contains non-finite values")
-    return phi, d
+    return f0, f1, f2, d
 
 
 class Estimator:
@@ -120,6 +161,9 @@ class Estimator:
     mu = 1.  Only ``df`` applies the deadzone ``epsilon``: a sample with
     ||phi|| <= epsilon is skipped and theta, P and R are left bit-identical.
     Only ``er`` uses the floor ``r_inf``, which R(0) must dominate.
+
+    ``theta``, ``P``, ``R`` and ``R_inf`` are numpy snapshots: a fresh array
+    on every read, so writing into one does not change the estimator.
     """
 
     def __init__(self, mode: str, theta0, mu: float = 0.9, epsilon: float = 1e-3,
@@ -135,74 +179,138 @@ class Estimator:
         self.mode = mode
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
-        self.theta = as_gains(theta0)
-        self.R = _as_init_matrix(r0, "r0")
-        self.R_inf = _as_init_matrix(r_inf, "r_inf")
+        self._theta = tuple(as_gains(theta0).tolist())
+        self._R = _as_init_matrix(r0, "r0")
+        self._R_inf = _as_init_matrix(r_inf, "r_inf")
         if mode == "er":
-            gap_min, _ = symmetric_eigen_bounds(_symmetrize(self.R - self.R_inf))
+            gap_min, _ = _eigen_bounds(*(a - b for a, b in zip(self._R, self._R_inf)))
             if gap_min < -1e-12:
                 raise ValueError("r0 must dominate r_inf (r0 - r_inf is not PSD)")
-        self.P = _symmetrize(np.linalg.inv(self.R))
+        self._P = _inverse(self._R)
         self.deadzone_active = False
+
+    @property
+    def gains(self) -> tuple[float, float, float]:
+        """theta as three floats (kp, ki, kd)."""
+        return self._theta
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The gains [kp, ki, kd]."""
+        return np.array(self._theta)
+
+    @property
+    def P(self) -> np.ndarray:
+        """The covariance, R^-1."""
+        return _sym_matrix(self._P)
+
+    @property
+    def R(self) -> np.ndarray:
+        """The information matrix."""
+        return _sym_matrix(self._R)
+
+    @property
+    def R_inf(self) -> np.ndarray:
+        """The resetting floor of ``er``."""
+        return _sym_matrix(self._R_inf)
 
     def update(self, phi, d) -> float:
         """Absorb one sample; returns the pre-update residual phi^T theta - d."""
-        phi, d = _as_sample(phi, d)
-        ehat = float(phi @ self.theta - d)
+        f0, f1, f2, d = _as_sample(phi, d)
+        t0, t1, t2 = self._theta
+        ehat = f0 * t0 + f1 * t1 + f2 * t2 - d
         if self.mode == "df":
-            self.deadzone_active = float(np.linalg.norm(phi)) <= self.epsilon
+            self.deadzone_active = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
             if self.deadzone_active:
                 return ehat
-        self._RULES[self.mode](self, phi)
-        # the gain step uses the P already updated for this sample
-        self.theta = self.theta + self.P @ phi * (-ehat)
+        # the gain step uses the P already updated for this sample: k = P phi
+        k0, k1, k2 = self._RULES[self.mode](self, f0, f1, f2)
+        t0, t1, t2 = t0 - ehat * k0, t1 - ehat * k1, t2 - ehat * k2
+        if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(t2)):
+            raise NumericalBreakdownError(f"gain step gave non-finite theta {[t0, t1, t2]}")
+        self._theta = (t0, t1, t2)
         return ehat
 
     def eigenvalues(self) -> tuple[float, float]:
         """(min, max) eigenvalues of the covariance matrix."""
-        return symmetric_eigen_bounds(self.P)
+        return _eigen_bounds(*self._P)
 
-    def _rls(self, phi: np.ndarray) -> None:
+    def _rls(self, f0, f1, f2):
         # noforget (mu = 1) and ef: R <- mu R + phi phi^T
-        denom = self.mu + float(phi @ self.P @ phi)
-        if denom <= 0.0:
-            raise NumericalBreakdownError(f"gain denominator {denom} <= 0")
-        Pphi = self.P @ phi
-        self.P = _symmetrize((self.P - np.outer(Pphi, Pphi) / denom) / self.mu)
-        self.R = _symmetrize(self.mu * self.R + np.outer(phi, phi))
+        mu = self.mu
+        p00, p01, p02, p11, p12, p22 = self._P
+        g0 = p00 * f0 + p01 * f1 + p02 * f2
+        g1 = p01 * f0 + p11 * f1 + p12 * f2
+        g2 = p02 * f0 + p12 * f1 + p22 * f2
+        denom = mu + (f0 * g0 + f1 * g1 + f2 * g2)
+        if not denom > 0.0:
+            raise NumericalBreakdownError(f"gain denominator {denom} is not positive")
+        self._P = (
+            (p00 - g0 * g0 / denom) / mu, (p01 - g0 * g1 / denom) / mu,
+            (p02 - g0 * g2 / denom) / mu, (p11 - g1 * g1 / denom) / mu,
+            (p12 - g1 * g2 / denom) / mu, (p22 - g2 * g2 / denom) / mu,
+        )
+        r00, r01, r02, r11, r12, r22 = self._R
+        self._R = (
+            mu * r00 + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
+            mu * r11 + f1 * f1, mu * r12 + f1 * f2, mu * r22 + f2 * f2,
+        )
+        return g0 / denom, g1 / denom, g2 / denom
 
-    def _df(self, phi: np.ndarray) -> None:
-        a = float(phi @ self.R @ phi)
-        if a < 1e-300:
+    def _df(self, f0, f1, f2):
+        mu = self.mu
+        r00, r01, r02, r11, r12, r22 = self._R
+        h0 = r00 * f0 + r01 * f1 + r02 * f2
+        h1 = r01 * f0 + r11 * f1 + r12 * f2
+        h2 = r02 * f0 + r12 * f1 + r22 * f2
+        a = f0 * h0 + f1 * h1 + f2 * h2
+        if not a >= 1e-300:
             raise DenominatorUnderflowError(f"phi^T R phi = {a}")
         # forget the rank-one slice of R along phi, then add the new sample
-        Rphi = self.R @ phi
-        Rbar = self.R - (1.0 - self.mu) / a * np.outer(Rphi, Rphi)
-        self.R = _symmetrize(Rbar + np.outer(phi, phi))
-        _check_spd(self.R, "information matrix")
+        c = (1.0 - mu) / a
+        R = (
+            r00 - c * (h0 * h0) + f0 * f0, r01 - c * (h0 * h1) + f0 * f1,
+            r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
+            r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
+        )
+        if not _is_spd(R):
+            raise SingularInformationError("information matrix is not positive definite")
         # P tracks R^-1 exactly: rank-one update for the forgotten slice,
         # then a Sherman-Morrison downdate for the added phi*phi^T
-        Pbar = self.P + (1.0 - self.mu) / (self.mu * a) * np.outer(phi, phi)
-        Pbar_phi = Pbar @ phi
-        self.P = _symmetrize(
-            Pbar - np.outer(Pbar_phi, Pbar_phi) / (1.0 + float(phi @ Pbar_phi))
+        c = (1.0 - mu) / (mu * a)
+        p00, p01, p02, p11, p12, p22 = self._P
+        p00, p01, p02 = p00 + c * (f0 * f0), p01 + c * (f0 * f1), p02 + c * (f0 * f2)
+        p11, p12, p22 = p11 + c * (f1 * f1), p12 + c * (f1 * f2), p22 + c * (f2 * f2)
+        w0 = p00 * f0 + p01 * f1 + p02 * f2
+        w1 = p01 * f0 + p11 * f1 + p12 * f2
+        w2 = p02 * f0 + p12 * f1 + p22 * f2
+        s = 1.0 + (f0 * w0 + f1 * w1 + f2 * w2)
+        self._R = R
+        self._P = (
+            p00 - w0 * w0 / s, p01 - w0 * w1 / s, p02 - w0 * w2 / s,
+            p11 - w1 * w1 / s, p12 - w1 * w2 / s, p22 - w2 * w2 / s,
         )
+        return w0 / s, w1 / s, w2 / s
 
-    def _er(self, phi: np.ndarray) -> None:
-        self.R = _symmetrize(
-            self.mu * self.R + (1.0 - self.mu) * self.R_inf + np.outer(phi, phi)
+    def _er(self, f0, f1, f2):
+        mu, nu = self.mu, 1.0 - self.mu
+        r00, r01, r02, r11, r12, r22 = self._R
+        i00, i01, i02, i11, i12, i22 = self._R_inf
+        self._R = R = (
+            mu * r00 + nu * i00 + f0 * f0, mu * r01 + nu * i01 + f0 * f1,
+            mu * r02 + nu * i02 + f0 * f2, mu * r11 + nu * i11 + f1 * f1,
+            mu * r12 + nu * i12 + f1 * f2, mu * r22 + nu * i22 + f2 * f2,
         )
-        try:
-            self.P = _symmetrize(np.linalg.inv(self.R))
-        except np.linalg.LinAlgError:
-            raise SingularInformationError("information matrix solve failed") from None
+        self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
+        return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
+                p02 * f0 + p12 * f1 + p22 * f2)
 
     _RULES = {"noforget": _rls, "ef": _rls, "df": _df, "er": _er}
 
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:
     """Plain RLS (mu = 1) or exponential forgetting (mu < 1) from P(0) = p0."""
-    r0 = np.linalg.inv(_as_init_matrix(p0, "p0"))
+    r0 = _sym_matrix(_inverse(_as_init_matrix(p0, "p0")))
     return Estimator("noforget" if mu == 1.0 else "ef", theta0, mu=mu, r0=r0)
 
 
@@ -217,21 +325,20 @@ def ExponentialResettingRls(theta0, r0=0.01, r_inf=0.01, mu: float = 0.99) -> Es
     return Estimator("er", theta0, mu=mu, r0=r0, r_inf=r_inf)
 
 
-def _as_init_matrix(value, field: str) -> np.ndarray:
-    """Scalar -> scaled identity; matrix -> validated SPD symmetric copy."""
+def _as_init_matrix(value, field: str) -> tuple[float, ...]:
+    """Scalar -> scaled identity; matrix -> validated SPD unique entries."""
     if np.ndim(value) == 0:
         v = float(value)
         if not 0.0 < v < math.inf:
             raise ValueError(f"{field} must be a positive finite scalar, got {v}")
-        return v * np.eye(3)
+        return (v, 0.0, 0.0, v, 0.0, v)
     M = np.asarray(value, dtype=float)
     if M.shape != (3, 3) or not np.all(np.isfinite(M)):
         raise ValueError(f"{field} must be a finite 3x3 matrix or a positive scalar")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ValueError(f"{field} must be symmetric")
-    M = _symmetrize(M)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{field} must be positive definite") from None
-    return M
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = ((M + M.T) / 2.0).tolist()
+    m = (a00, a01, a02, a11, a12, a22)
+    if not _is_spd(m):
+        raise ValueError(f"{field} must be positive definite")
+    return m

@@ -8,19 +8,27 @@ without disturbing the integrator or differencer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lti import RationalFilter
 
 
-def as_gains(theta) -> np.ndarray:
-    """Validate and return a [kp, ki, kd] gain vector as float64."""
-    arr = np.asarray(theta, dtype=float).reshape(-1)
-    if arr.shape != (3,):
-        raise ValueError(f"expected 3 gains [kp, ki, kd], got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _gain_floats(theta) -> tuple[float, float, float]:
+    """Validate [kp, ki, kd]; returns three floats."""
+    try:
+        kp, ki, kd = (float(g) for g in theta)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected 3 gains [kp, ki, kd], got {theta!r}") from None
+    if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
         raise ValueError("gains must be finite")
-    return arr.copy()
+    return kp, ki, kd
+
+
+def as_gains(theta) -> np.ndarray:
+    """Validate and return a [kp, ki, kd] gain vector as a new float64 array."""
+    return np.array(_gain_floats(theta))
 
 
 class PidBasis:
@@ -41,9 +49,10 @@ class PidBasis:
         b._filters = [f.copy() for f in self._filters]
         return b
 
-    def step(self, x: float) -> np.ndarray:
-        """Advance all three filters one sample; returns [x, integ, diff]."""
-        return np.array([f.step(x) for f in self._filters])
+    def step(self, x: float) -> tuple[float, float, float]:
+        """Advance all three filters one sample; returns (x, integ, diff)."""
+        f0, f1, f2 = self._filters
+        return f0.step(x), f1.step(x), f2.step(x)
 
     def regress(self, x) -> np.ndarray:
         """Basis-filter a whole sequence from zero state; returns (N, 3)."""
@@ -63,23 +72,26 @@ class PidController:
     """Positional-form PID; gains are meant to be retuned on the fly."""
 
     def __init__(self, gains, ts: float):
-        self._gains = as_gains(gains)
+        self._gains = _gain_floats(gains)
         self.basis = PidBasis(ts)
 
     @property
-    def gains(self) -> np.ndarray:
+    def gains(self) -> tuple[float, float, float]:
+        """(kp, ki, kd) as floats."""
         return self._gains
 
     @gains.setter
     def gains(self, theta) -> None:
-        self._gains = as_gains(theta)
+        self._gains = _gain_floats(theta)
 
     def reset(self) -> None:
         self.basis.reset()
 
     def step(self, e: float) -> float:
         """One control sample from one tracking-error sample."""
-        return float(self._gains @ self.basis.step(e))
+        kp, ki, kd = self._gains
+        x, integ, diff = self.basis.step(e)
+        return kp * x + ki * integ + kd * diff
 
 
 def pid_filter(gains, ts: float) -> RationalFilter:

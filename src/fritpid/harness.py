@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
-from .controller import PidController, as_gains
+from .controller import PidController
 from .lti import RationalFilter, ReferenceModel
 from .plant import BoucWenParams, BoucWenPlant, LtiPlant
 
@@ -46,6 +46,17 @@ class ReferenceSpec:
     period: float = 40.0
     levels: list = field(default_factory=lambda: [20.0, 35.0, 50.0, 65.0])
     interval: float = 20.0
+
+    def validate(self):
+        if self.kind == "square" and not 0.0 < self.period < math.inf:
+            raise ConfigError(f"square reference period must be positive, got {self.period}")
+        if self.kind == "staircase":
+            if not self.levels:
+                raise ConfigError("staircase reference needs at least one level")
+            if not 0.0 < self.interval < math.inf:
+                raise ConfigError(
+                    f"staircase reference interval must be positive, got {self.interval}"
+                )
 
     def signal(self):
         if self.kind == "constant":
@@ -108,6 +119,13 @@ class PlantSpec:
     saturation: list | None = None
     schedule: list = field(default_factory=list)
 
+    def validate(self):
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(f"plant noise_std must be finite and >= 0, got {self.noise_std}")
+        for entry in self.schedule:
+            if not isinstance(entry, dict) or "time" not in entry:
+                raise ConfigError(f"plant schedule entry {entry!r} has no time")
+
     def build(self, ts: float):
         sat = None if self.saturation is None else tuple(self.saturation)
         if self.kind == "lti":
@@ -153,6 +171,8 @@ class ScenarioConfig:
             raise ConfigError("trials must be >= 1")
         if self.estimator.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
+        self.reference.validate()
+        self.plant.validate()
 
     def trial_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -274,15 +294,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
     plant = cfg.plant.build(ts)
     plant.reset(seed=seed)
     estimator = cfg.estimator.build()
-    theta0 = as_gains(cfg.estimator.theta0)
-    controller = PidController(theta0, ts)
+    controller = PidController(cfg.estimator.theta0, ts)
     regressor = RegressorGenerator(gm.filter, ts)
 
-    cols = {c: np.empty(n_steps) for c in TRACE_COLUMNS}
-    cols["k"] = np.arange(n_steps, dtype=float)
-    cols["deadzone"] = np.zeros(n_steps)
-
-    theta = theta0
+    # one row per trace column, written one column (step) at a time
+    buf = np.empty((len(TRACE_COLUMNS), n_steps))
+    kp, ki, kd = controller.gains
+    pmin = pmax = math.nan
+    deadzone = False
     warned_negative = False
     y = 0.0
     for k in range(n_steps):
@@ -292,38 +311,27 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
         u = controller.step(e)
         phi, d = regressor.step(y, u)
         if estimator is None:
-            ehat = float(phi @ theta - d)
-            pmin = pmax = math.nan
-            deadzone = False
+            ehat = phi[0] * kp + phi[1] * ki + phi[2] * kd - d
         else:
             try:
                 ehat = estimator.update(phi, d)
             except NumericalBreakdownError as exc:
                 raise NumericalBreakdownError(f"step {k} (t={t:.3f}s): {exc}") from exc
-            theta = estimator.theta
-            controller.gains = theta
+            controller.gains = estimator.gains
+            kp, ki, kd = controller.gains
             pmin, pmax = estimator.eigenvalues()
             deadzone = estimator.deadzone_active
-            if not warned_negative and np.any(theta < 0.0):
+            if not warned_negative and (kp < 0.0 or ki < 0.0 or kd < 0.0):
                 log.warning(
-                    "%s: gains left the positive orthant at t=%.2fs: %s",
-                    cfg.name, t, np.array2string(theta, precision=4),
+                    "%s: gains left the positive orthant at t=%.2fs: [%.4g, %.4g, %.4g]",
+                    cfg.name, t, kp, ki, kd,
                 )
                 warned_negative = True
-        cols["t"][k] = t
-        cols["r"][k] = r
-        cols["y"][k] = y
-        cols["u"][k] = u
-        cols["e"][k] = e
-        cols["ehat"][k] = ehat
-        cols["kp"][k], cols["ki"][k], cols["kd"][k] = theta
-        cols["pmin"][k] = pmin
-        cols["pmax"][k] = pmax
-        cols["deadzone"][k] = float(deadzone)
+        buf[:, k] = (k, t, r, y, u, e, ehat, kp, ki, kd, pmin, pmax, deadzone)
         y = plant.step(u, t)
 
     window = (float(cfg.evaluation_window[0]), float(cfg.evaluation_window[1]))
-    return RunTrace(cols, window, cfg.name, seed)
+    return RunTrace(dict(zip(TRACE_COLUMNS, buf)), window, cfg.name, seed)
 
 
 def method_variants(base: ScenarioConfig, methods=ESTIMATOR_MODES) -> list[ScenarioConfig]:

@@ -63,8 +63,8 @@ class _PlantBase:
     """Saturation, seeded noise, and scheduled parameter switches."""
 
     def __init__(self, noise_std=0.0, saturation=None, schedule=()):
-        if noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         self.noise_std = float(noise_std)
         self.saturation = None if saturation is None else (
             float(saturation[0]),

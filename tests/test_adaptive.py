@@ -205,6 +205,15 @@ class TestExponentialResetting:
             R = 0.9 * R + np.outer(phi, phi)
             assert np.linalg.norm(er.R - R) < 1e-10 * np.linalg.norm(R)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_closed_form_inverse_at_extreme_scales(self, scale):
+        # a determinant of R itself would under- or overflow at these scales
+        rng = np.random.default_rng(58)
+        est = ExponentialResettingRls([0.0, 0.0, 0.0], r0=scale, r_inf=scale, mu=0.9)
+        for phi, d in random_stream(rng, 20, scale=np.sqrt(scale)):
+            est.update(phi, d)
+            assert np.linalg.norm(est.P @ est.R - I3) < 1e-12
+
     def test_requires_r0_dominating_floor(self):
         with pytest.raises(ValueError):
             ExponentialResettingRls([0.0, 0.0, 0.0], r0=0.01, r_inf=0.02)
@@ -281,6 +290,64 @@ class TestConvergence:
         assert np.linalg.norm(est.theta - theta_true) < 1e-6
 
 
+def reference_update(est, R, theta, phi, d):
+    """One step of PAPER.md's R-update rules in numpy, with P = inv(R).
+
+    Returns the new (R, theta); theta moves along P phi by the residual.
+    """
+    mu = est.mu
+    ehat = phi @ theta - d
+    if est.mode == "df" and np.linalg.norm(phi) <= est.epsilon:
+        return R, theta
+    if est.mode in ("noforget", "ef"):
+        R = mu * R + np.outer(phi, phi)
+    elif est.mode == "df":
+        Rphi = R @ phi
+        R = R - (1.0 - mu) * np.outer(Rphi, Rphi) / (phi @ Rphi) + np.outer(phi, phi)
+    else:
+        R = mu * R + (1.0 - mu) * est.R_inf + np.outer(phi, phi)
+    return R, theta - np.linalg.inv(R) @ phi * ehat
+
+
+class TestAgainstReferenceRules:
+    @pytest.mark.parametrize("mu", [0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
+    def test_matches_numpy_reference(self, mode, mu):
+        rng = np.random.default_rng(55)
+        theta_true = np.array([0.3, -0.2, 0.8])
+        est = Estimator(mode, [0.1, 0.2, 0.3], mu=mu, r0=0.05, r_inf=0.01)
+        R, theta = est.R, est.theta
+        for phi, noise in random_stream(rng, 2000):
+            d = float(phi @ theta_true) + 0.1 * noise
+            est.update(phi, d)
+            R, theta = reference_update(est, R, theta, phi, d)
+            P = np.linalg.inv(R)
+            for got, want in ((est.theta, theta), (est.P, P), (est.R, R)):
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class TestBreakdown:
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
+    def test_overflow_raises_instead_of_nan(self, mode):
+        # P(0) = 1e300 I: P phi overflows, so the update has no finite result
+        est = Estimator(mode, [0.1, 0.1, 0.1], r0=1e-300, r_inf=1e-300)
+        with pytest.raises(NumericalBreakdownError):
+            est.update([1e160, 0.0, 0.0], 0.0)
+
+
+class TestLongHorizonDuality:
+    @pytest.mark.parametrize("mode", ["df", "er"])
+    def test_duality_holds_over_200k_steps(self, mode):
+        rng = np.random.default_rng(56)
+        n = 200_000
+        phis = rng.standard_normal((n, 3)) * rng.uniform(0.5, 2.0, (n, 1))
+        ds = rng.standard_normal(n)
+        est = Estimator(mode, [0.0, 0.0, 0.0], mu=0.75, r0=0.01, r_inf=0.01)
+        for phi, d in zip(phis.tolist(), ds.tolist()):
+            est.update(phi, d)
+            assert np.linalg.norm(est.P @ est.R - I3) < 1e-6
+
+
 class TestEigenBounds:
     def test_scaled_identity(self):
         assert symmetric_eigen_bounds(100.0 * I3) == (100.0, 100.0)
@@ -304,6 +371,26 @@ class TestEigenBounds:
             assert abs(lo - roots[0]) / scale < 1e-9
             assert abs(hi - roots[-1]) / scale < 1e-9
 
+    @pytest.mark.parametrize(
+        "spectrum",
+        [(1.0, 1.0, 3.0), (1.0, 3.0, 3.0), (1.0, 1.0 + 1e-6, 3.0), (1.0, 3.0, 3.0 + 1e-9),
+         (2.0, 2.0, 2.0 + 1e-12), (1.0, 1.0 + 1e-13, 1.0 + 2e-13), (5.0, 5.0, 5.0),
+         (1e-3, 1e-3, 1e3)],
+    )
+    def test_near_repeated_eigenvalues(self, spectrum):
+        # near a double eigenvalue r = det(B)/2 sits at +-1, where acos turns a
+        # rounding error eps in r into sqrt(eps) in the angle
+        tol = 2.0 * np.sqrt(np.finfo(float).eps)
+        rng = np.random.default_rng(57)
+        for _ in range(100):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            S = Q @ np.diag(spectrum) @ Q.T
+            S = (S + S.T) / 2.0
+            lo, hi = symmetric_eigen_bounds(S)
+            w = np.linalg.eigvalsh(S)
+            assert abs(lo - w[0]) <= tol * w[-1]
+            assert abs(hi - w[-1]) <= tol * w[-1]
+
 
 class TestFactory:
     def test_modes(self):
@@ -313,3 +400,22 @@ class TestFactory:
         assert Estimator("er", [0.0, 0.0, 0.0]).mode == "er"
         with pytest.raises(ValueError):
             Estimator("kalman", [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "r0",
+        [[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]],
+    )
+    def test_non_positive_definite_r0_rejected(self, r0):
+        with pytest.raises(ValueError, match="positive definite"):
+            Estimator("df", [0.0, 0.0, 0.0], r0=r0)
+
+    def test_state_reads_are_snapshots(self):
+        est = Estimator("df", [0.1, 0.2, 0.3])
+        for name in ("theta", "P", "R", "R_inf"):
+            getattr(est, name)[0] = 99.0
+        assert est.theta == pytest.approx([0.1, 0.2, 0.3])
+        assert est.P == pytest.approx(100.0 * I3)
+        assert est.R == pytest.approx(0.01 * I3)
+        assert est.R_inf == pytest.approx(0.01 * I3)

@@ -1,12 +1,14 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import matched_loop_data
 from fritpid.cli import main
+from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
 
@@ -37,10 +39,24 @@ class TestRun:
         assert (tmp_path / "matched_lti_trace.csv").exists()
         assert "MAE" in capsys.readouterr().out
 
-    def test_invalid_duration_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, edit",
+        [
+            pytest.param(None, {"duration": -1.0}, id="duration"),
+            pytest.param("reference", {"kind": "staircase", "levels": []}, id="staircase-no-levels"),
+            pytest.param("reference", {"kind": "square", "period": 0.0}, id="square-zero-period"),
+            pytest.param("plant", {"schedule": [{"gain_scale": 0.5}]}, id="schedule-no-time"),
+            pytest.param("plant", {"noise_std": math.nan}, id="noise-std-nan"),
+        ],
+    )
+    def test_invalid_scenario_exits_2(self, tmp_path, section, edit):
+        raw = json.loads(Path("scenarios/matched_lti.json").read_text())
+        (raw if section is None else raw[section]).update(edit)
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(raw)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"duration": -1.0}))
-        assert main(["run", str(bad)]) == 2
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2

@@ -38,6 +38,13 @@ class TestPidController:
         assert c.step(1.0) == pytest.approx(100.0)
         assert c.step(1.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("theta", [[1.0, 2.0], [1.0, np.nan, 0.0], 5.0])
+    def test_gains_setter_validates(self, theta):
+        c = PidController([1.0, 0.0, 0.0], TS)
+        with pytest.raises(ValueError):
+            c.gains = theta
+        assert c.gains == (1.0, 0.0, 0.0)
+
     def test_gain_swap_keeps_integrator_state(self):
         c = PidController([0.0, 1.0, 0.0], TS)
         c.step(1.0)
