@@ -1,0 +1,61 @@
+"""Column-at-a-time CSV files: the trace and dataset on-disk format.
+
+A file is one header row of column names, then one row per sample, fields
+joined by "," and rows ended by "\\r\\n" (what `csv.writer` writes).  Floats
+are written with `repr`, the shortest string that parses back to the same
+double, so a file round-trips bit for bit through `read_columns`.
+"""
+
+from __future__ import annotations
+
+import csv
+
+# rows formatted per batch: the Python floats and strings alive at once stay
+# bounded however long the run, while per-batch overhead stays negligible
+CHUNK_ROWS = 256
+
+INTEGER = "%d".__mod__  # format for integer-valued columns, same as str(int(v))
+
+
+def write_columns(path, header, columns, formats) -> None:
+    """Write equal-length 1-D arrays as CSV, column i formatted by formats[i]."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), CHUNK_ROWS):
+            fields = [
+                map(fmt, col[lo : lo + CHUNK_ROWS].tolist())
+                for fmt, col in zip(formats, columns)
+            ]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*fields))
+
+
+def read_columns(path, names) -> list[list[float]]:
+    """The named columns of a CSV file as lists of floats, in `names` order.
+
+    Raises `ValueError` naming the file when it has no header, lacks a named
+    column, has no data rows, or has a row whose field count differs from the
+    header's or a field that is not a number.  Blank lines are skipped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
+        index = [header.index(n) for n in names]
+        cols = [[] for _ in names]
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                for col, i in zip(cols, index):
+                    col.append(float(row[i]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not cols[0]:
+        raise ValueError(f"{path}: header but no data rows")
+    return cols

@@ -12,7 +12,6 @@ least squares instead and keeps the nonconvex cost as an evaluation metric.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -23,6 +22,7 @@ import numpy as np
 
 from .adaptive import RegressorGenerator
 from .controller import as_gains, pid_filter
+from .csvio import INTEGER, read_columns, write_columns
 from .lti import ReferenceModel
 
 PROPERNESS_TOL = 1e-9
@@ -66,8 +66,8 @@ class ClosedLoopDataset:
             and np.all(np.isfinite(self.r))
         ):
             raise ValueError("dataset contains non-finite samples")
-        if self.ts <= 0:
-            raise ValueError("ts must be positive")
+        if not 0.0 < self.ts < math.inf:
+            raise ValueError(f"ts must be positive and finite, got {self.ts}")
 
     def __len__(self) -> int:
         return len(self.u0)
@@ -75,26 +75,25 @@ class ClosedLoopDataset:
     def save(self, path) -> None:
         """Write `k,r,u,y` rows plus a `.json` sidecar holding ts."""
         path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "r", "u", "y"])
-            for k in range(len(self)):
-                writer.writerow(
-                    [k, repr(float(self.r[k])), repr(float(self.u0[k])), repr(float(self.y0[k]))]
-                )
+        write_columns(
+            path,
+            ("k", "r", "u", "y"),
+            (np.arange(len(self)), self.r, self.u0, self.y0),
+            (INTEGER, repr, repr, repr),
+        )
         path.with_suffix(".json").write_text(json.dumps({"ts": self.ts}) + "\n")
 
     @classmethod
     def load(cls, path) -> "ClosedLoopDataset":
+        """Read a file written by `save`; `ValueError` names what is malformed."""
         path = Path(path)
-        sidecar = json.loads(path.with_suffix(".json").read_text())
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append((float(row["r"]), float(row["u"]), float(row["y"])))
-        r, u, y = (np.array(col) for col in zip(*rows))
-        return cls(u0=u, y0=y, r=r, ts=float(sidecar["ts"]))
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        ts = meta.get("ts") if isinstance(meta, dict) else None
+        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+            raise ValueError(f"{sidecar}: expected an object with a numeric ts field")
+        r, u, y = read_columns(path, ("r", "u", "y"))
+        return cls(u0=u, y0=y, r=r, ts=float(ts))
 
 
 def transient_skip(order: int = 2) -> int:
@@ -140,10 +139,8 @@ def regressor_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch (Phi, d) arrays from a dataset, transient samples dropped."""
     gen = RegressorGenerator(gm.filter, data.ts)
-    phis = np.empty((len(data), 3))
-    ds = np.empty(len(data))
-    for k in range(len(data)):
-        phis[k], ds[k] = gen.step(data.y0[k], data.u0[k])
+    phis, ds = zip(*map(gen.step, data.y0.tolist(), data.u0.tolist()))
+    phis, ds = np.array(phis), np.array(ds)
     if skip is None:
         skip = transient_skip()
     return phis[skip:], ds[skip:]

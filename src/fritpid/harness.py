@@ -9,7 +9,6 @@ the same config and seed give a byte-identical trace file.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -20,6 +19,7 @@ import numpy as np
 
 from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
 from .controller import PidController
+from .csvio import INTEGER, read_columns, write_columns
 from .lti import RationalFilter, ReferenceModel
 from .plant import BoucWenParams, BoucWenPlant, LtiPlant
 
@@ -31,6 +31,10 @@ TRACE_COLUMNS = [
 ]
 
 ESTIMATOR_MODES = ("fixed", "noforget", "ef", "df", "er")
+
+# cap on round(duration / ts): `run_scenario` preallocates a trace buffer of
+# 13 float64 = 104 B per step, so the cap keeps it at 1.04 GB or less
+MAX_STEPS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -158,10 +162,16 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.ts <= 0:
-            raise ConfigError("ts must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite, got {self.duration}")
+        if not 0.0 < self.ts < math.inf:
+            raise ConfigError(f"ts must be positive and finite, got {self.ts}")
+        # 1 <= round(duration / ts) <= MAX_STEPS, on a ratio that may overflow to inf
+        if not 0.5 < self.duration / self.ts <= MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"duration / ts = {self.duration / self.ts:.6g} steps, "
+                f"must round to between 1 and {MAX_STEPS}"
+            )
         if len(self.evaluation_window) != 2:
             raise ConfigError("evaluation_window must be [t_start, t_end]")
         lo, hi = self.evaluation_window
@@ -253,25 +263,18 @@ class RunTrace:
         }
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            cols = [self.columns[c] for c in TRACE_COLUMNS]
-            for row in zip(*cols):
-                writer.writerow(
-                    [str(int(row[0]))]
-                    + [repr(float(v)) for v in row[1:-1]]
-                    + [str(int(row[-1]))]
-                )
+        """Write the trace: `k` and `deadzone` as integers, other columns as `repr` floats."""
+        write_columns(
+            path,
+            TRACE_COLUMNS,
+            [self.columns[c] for c in TRACE_COLUMNS],
+            [INTEGER] + [repr] * (len(TRACE_COLUMNS) - 2) + [INTEGER],
+        )
 
     @classmethod
     def load_csv(cls, path, window=(0.0, math.inf), name="trace", seed=0) -> "RunTrace":
-        data = {c: [] for c in TRACE_COLUMNS}
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                for c in TRACE_COLUMNS:
-                    data[c].append(float(row[c]))
-        columns = {c: np.array(v) for c, v in data.items()}
+        cols = read_columns(path, TRACE_COLUMNS)
+        columns = {c: np.array(v) for c, v in zip(TRACE_COLUMNS, cols)}
         return cls(columns, tuple(window), name, seed)
 
 

@@ -93,7 +93,7 @@ class RationalFilter:
         Runs on a copy, so the caller's filter state is untouched.
         """
         f = RationalFilter(self.num, self.den)
-        return [f.step(float(x)) for x in u]
+        return [f.step(x) for x in np.asarray(u, dtype=float).tolist()]
 
     def __mul__(self, other: "RationalFilter") -> "RationalFilter":
         """Series composition: self * other is 'other then self' (commutes for SISO)."""

@@ -11,6 +11,7 @@ from fritpid.cli import main
 from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
+TS_JSON = '{"ts": 0.01}'
 
 
 @pytest.fixture
@@ -43,10 +44,16 @@ class TestRun:
         "section, edit",
         [
             pytest.param(None, {"duration": -1.0}, id="duration"),
+            pytest.param(None, {"duration": math.inf}, id="duration-inf"),
             pytest.param("reference", {"kind": "staircase", "levels": []}, id="staircase-no-levels"),
             pytest.param("reference", {"kind": "square", "period": 0.0}, id="square-zero-period"),
             pytest.param("plant", {"schedule": [{"gain_scale": 0.5}]}, id="schedule-no-time"),
             pytest.param("plant", {"noise_std": math.nan}, id="noise-std-nan"),
+            pytest.param(
+                None, {"duration": 0.004, "evaluation_window": [0.0, 0.004]}, id="zero-steps"
+            ),
+            # 8e10 steps: rejected before any trace buffer is allocated
+            pytest.param(None, {"ts": 1e-9}, id="too-many-steps"),
         ],
     )
     def test_invalid_scenario_exits_2(self, tmp_path, section, edit):
@@ -113,6 +120,25 @@ class TestTune:
         assert "kd = 0.0115" in printed
         tuned = json.loads(out.read_text())["theta0"]
         assert tuned == pytest.approx(THETA_STAR, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "text, sidecar, message",
+        [
+            pytest.param("k,r,y\r\n0,1,0\r\n1,1,0.1\r\n", TS_JSON, "no column u", id="no-u-column"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2\r\n", TS_JSON, "line 3: 3 fields", id="short-row"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "{}", "ts field", id="sidecar-without-ts"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,x,0\r\n", TS_JSON, "line 3", id="not-a-number"),
+            pytest.param("k,r,u,y\r\n", TS_JSON, "no data rows", id="header-only"),
+            pytest.param("", TS_JSON, "empty file", id="empty"),
+        ],
+    )
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, sidecar, message):
+        path = tmp_path / "experiment.csv"
+        path.write_text(text, newline="")
+        path.with_suffix(".json").write_text(sidecar)
+        assert main(["tune", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "experiment." in err and message in err
 
     def test_degenerate_dataset_exits_3(self, tmp_path):
         from fritpid.frit import ClosedLoopDataset

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from conftest import TS, matched_loop_data
-from fritpid.adaptive import RlsEstimator
+from fritpid.adaptive import RegressorGenerator, RlsEstimator
+from fritpid.csvio import CHUNK_ROWS
 from fritpid.frit import (
     ClosedLoopDataset,
     InverseNotProperError,
@@ -125,6 +128,17 @@ class TestBatchTune:
         with pytest.raises(RankDeficientError):
             batch_tune(data, gm_default)
 
+    def test_regressor_samples_match_per_sample_loop(self, gm_default):
+        data = matched_loop_data(THETA_STAR, n=1000, gm=gm_default)
+        gen = RegressorGenerator(gm_default.filter, data.ts)
+        ref_phis = np.empty((len(data), 3))
+        ref_ds = np.empty(len(data))
+        for k in range(len(data)):
+            ref_phis[k], ref_ds[k] = gen.step(data.y0[k], data.u0[k])
+        phis, ds = regressor_samples(data, gm_default, skip=0)
+        assert phis.tobytes() == ref_phis.tobytes()
+        assert ds.tobytes() == ref_ds.tobytes()
+
     def test_matches_rls_over_same_samples(self, gm_default):
         data = matched_loop_data(THETA_STAR, n=1000, gm=gm_default)
         phis, ds = regressor_samples(data, gm_default)
@@ -145,16 +159,41 @@ class TestPolish:
         )
 
 
+def reference_dataset_csv(data, path):
+    """The row-at-a-time `csv.writer` loop that defined the dataset format."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "r", "u", "y"])
+        for k in range(len(data)):
+            writer.writerow(
+                [k, repr(float(data.r[k])), repr(float(data.u0[k])), repr(float(data.y0[k]))]
+            )
+
+
+def awkward_dataset():
+    """More rows than one write batch, with -0.0 and exponent-notation values."""
+    data = matched_loop_data(THETA_STAR, n=CHUNK_ROWS + 3)
+    data.r[:4] = [1e-05, 1.5e16, -0.0, 5e-324]
+    data.u0[:4] = [-0.0, -1e-05, 1.7976931348623157e308, 1e22]
+    return data
+
+
 class TestCsvRoundTrip:
-    def test_save_load(self, tmp_path, gm_default):
-        data = matched_loop_data(THETA_STAR, n=200, gm=gm_default)
-        path = tmp_path / "experiment.csv"
-        data.save(path)
-        loaded = ClosedLoopDataset.load(path)
+    def test_bytes_match_reference_writer(self, tmp_path):
+        data = awkward_dataset()
+        data.save(tmp_path / "new.csv")
+        reference_dataset_csv(data, tmp_path / "ref.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert b"\r\n1,1.5e+16,-1e-05," in written
+
+    def test_save_load(self, tmp_path):
+        data = awkward_dataset()
+        data.save(tmp_path / "d.csv")
+        loaded = ClosedLoopDataset.load(tmp_path / "d.csv")
         assert loaded.ts == data.ts
-        assert loaded.u0 == pytest.approx(data.u0, abs=0)
-        assert loaded.y0 == pytest.approx(data.y0, abs=0)
-        assert loaded.r == pytest.approx(data.r, abs=0)
+        for col in ("u0", "y0", "r"):
+            assert getattr(loaded, col).tobytes() == getattr(data, col).tobytes()
 
     def test_header_layout(self, tmp_path):
         data = ClosedLoopDataset(
@@ -176,6 +215,11 @@ class TestValidation:
         bad[2] = np.inf
         with pytest.raises(ValueError):
             ClosedLoopDataset(u0=bad, y0=np.ones(5), r=np.ones(5), ts=TS)
+
+    @pytest.mark.parametrize("ts", [0.0, -0.01, np.nan, np.inf])
+    def test_ts_must_be_positive_and_finite(self, ts):
+        with pytest.raises(ValueError, match="ts"):
+            ClosedLoopDataset(u0=np.ones(5), y0=np.ones(5), r=np.ones(5), ts=ts)
 
     def test_too_short(self):
         with pytest.raises(ValueError):

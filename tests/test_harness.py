@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 
@@ -6,6 +7,7 @@ import pytest
 
 from fritpid.adaptive import RegressorGenerator
 from fritpid.harness import (
+    TRACE_COLUMNS,
     ConfigError,
     RunTrace,
     ScenarioConfig,
@@ -191,14 +193,38 @@ class TestRunScenario:
         assert any("positive orthant" in rec.message for rec in caplog.records)
 
 
+def reference_trace_csv(trace, path):
+    """The row-at-a-time `csv.writer` loop that defined the trace format."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        cols = [trace[c] for c in TRACE_COLUMNS]
+        for row in zip(*cols):
+            writer.writerow(
+                [str(int(row[0]))]
+                + [repr(float(v)) for v in row[1:-1]]
+                + [str(int(row[-1]))]
+            )
+
+
 class TestTraceIo:
     def test_csv_round_trip(self, tmp_path):
         trace = run_scenario(identity_plant_config(), seed=0)
         path = tmp_path / "trace.csv"
         trace.save_csv(path)
         loaded = RunTrace.load_csv(path, window=trace.window)
-        for col in ("t", "r", "y", "u", "kp", "ki", "kd"):
-            assert loaded[col] == pytest.approx(trace[col], abs=0)
+        for col in TRACE_COLUMNS:
+            assert loaded[col].tobytes() == trace[col].tobytes()
+
+    @pytest.mark.parametrize("mode", ["fixed", "df"])
+    def test_bytes_match_reference_writer(self, tmp_path, mode):
+        # fixed mode writes nan pmin/pmax; df sets deadzone on some steps
+        trace = run_scenario(identity_plant_config(mode, epsilon=0.05), seed=0)
+        assert np.isnan(trace["pmax"]).all() == (mode == "fixed")
+        assert trace["deadzone"].any() == (mode == "df")
+        trace.save_csv(tmp_path / "new.csv")
+        reference_trace_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_header_order(self, tmp_path):
         trace = run_scenario(identity_plant_config(), seed=0)
