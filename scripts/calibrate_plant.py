@@ -5,7 +5,15 @@ Checks that the default actuator covers the 10-60 mm displacement band over
 the input range, reports the hysteresis loop geometry, and regenerates the
 FRIT-tuned initial gains frozen into scenarios/load_change.json (prior
 experiment: fixed safe gains, constant 50 mm reference, seed 0).
+
+Run from the repo root as ``PYTHONPATH=src python scripts/calibrate_plant.py``.
+Exits 1 if the plant misses the band or the regenerated gains differ from
+the frozen ones by more than TOLERANCE, so CI catches a drift in either.
 """
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +21,9 @@ from fritpid.frit import ClosedLoopDataset, batch_tune, frit_cost
 from fritpid.harness import ScenarioConfig, run_scenario
 from fritpid.lti import ReferenceModel
 from fritpid.plant import BoucWenParams, BoucWenPlant, quasi_static_sweep
+
+LOAD_CHANGE = Path(__file__).resolve().parent.parent / "scenarios" / "load_change.json"
+TOLERANCE = 1e-6
 
 
 def main():
@@ -24,7 +35,9 @@ def main():
           f"(target: covers 10-60 mm)")
     print(f"loop area: {np.trapezoid(asc, u[:n]) - np.trapezoid(desc, u[:n]):.2f}, "
           f"max branch gap: {np.max(np.abs(asc - desc)):.2f} mm")
-    assert y.max() >= 60.0 and y.min() <= 10.0
+    if not (y.max() >= 60.0 and y.min() <= 10.0):
+        print("FAIL: the default plant does not cover 10-60 mm", file=sys.stderr)
+        return 1
 
     prior = ScenarioConfig.from_dict({
         "name": "prior",
@@ -44,6 +57,16 @@ def main():
     print(f"  theta0 = [{theta0[0]:.8f}, {theta0[1]:.8f}, {theta0[2]:.8f}]")
     print(f"  surrogate fit cost: {frit_cost(theta0, data, gm):.2f}")
 
+    frozen = json.loads(LOAD_CHANGE.read_text())["estimator"]["theta0"]
+    gap = max(abs(a - b) for a, b in zip(theta0, frozen))
+    if gap > TOLERANCE:
+        print(f"FAIL: {LOAD_CHANGE.name} freezes theta0 = {frozen}, "
+              f"{gap:.3g} away from the regenerated gains (tolerance {TOLERANCE})",
+              file=sys.stderr)
+        return 1
+    print(f"frozen theta0 in {LOAD_CHANGE.name} agrees to {gap:.3g}")
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,6 +3,7 @@
 Subcommands:
     tune     offline gain tuning from a recorded closed-loop CSV
     run      execute a scenario JSON, write trace CSV + summary JSON
+             (the summary includes the simulation's wall_s and step_us)
     sweep    forgetting-factor sweep for the directional estimator
     compare  run the estimator-method comparison over seeded trials
 
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 from .adaptive import NumericalBreakdownError
@@ -63,12 +65,17 @@ def _cmd_tune(args) -> int:
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
     seed = args.seed if args.seed is not None else cfg.trial_seeds()[0]
+    t0 = time.perf_counter()
     trace = run_scenario(cfg, seed=seed)
+    wall_s = time.perf_counter() - t0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / f"{cfg.name}_trace.csv"
     trace.save_csv(trace_path)
     summary = trace.summary()
+    # the cost of the simulation alone: no scenario load, no file writes
+    summary["wall_s"] = wall_s
+    summary["step_us"] = wall_s / len(trace) * 1e6
     (outdir / f"{cfg.name}_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

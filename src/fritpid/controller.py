@@ -82,6 +82,15 @@ class PidController:
 
     @gains.setter
     def gains(self, theta) -> None:
+        # fast path for what the estimator hands over every step: a tuple of
+        # three floats, kept as is if finite (a float sum is finite only if
+        # every term is; an overflowing sum falls through to the full check)
+        if type(theta) is tuple and len(theta) == 3:
+            kp, ki, kd = theta
+            if (type(kp) is float and type(ki) is float and type(kd) is float
+                    and math.isfinite(kp + ki + kd)):
+                self._gains = theta
+                return
         self._gains = _gain_floats(theta)
 
     def reset(self) -> None:

@@ -21,7 +21,7 @@ from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
 from .controller import PidController
 from .csvio import INTEGER, read_columns, write_columns
 from .lti import RationalFilter, ReferenceModel
-from .plant import BoucWenParams, BoucWenPlant, LtiPlant
+from .plant import BoucWenParams, BoucWenPlant, LtiPlant, saturation_bounds
 
 log = logging.getLogger(__name__)
 
@@ -129,18 +129,26 @@ class PlantSpec:
         for entry in self.schedule:
             if not isinstance(entry, dict) or "time" not in entry:
                 raise ConfigError(f"plant schedule entry {entry!r} has no time")
+        try:
+            saturation_bounds(self.saturation)
+        except ValueError as exc:
+            raise ConfigError(f"plant {exc}") from exc
+        if self.kind == "bouc_wen":
+            try:
+                BoucWenParams(**self.params)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad Bouc-Wen params: {exc}") from exc
 
     def build(self, ts: float):
-        sat = None if self.saturation is None else tuple(self.saturation)
         if self.kind == "lti":
             return LtiPlant(
                 RationalFilter(self.num, self.den),
-                noise_std=self.noise_std, saturation=sat, schedule=self.schedule,
+                noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
             )
         if self.kind == "bouc_wen":
             return BoucWenPlant(
                 BoucWenParams(**self.params), ts=ts,
-                noise_std=self.noise_std, saturation=sat, schedule=self.schedule,
+                noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
             )
         raise ConfigError(f"unknown plant kind {self.kind!r}")
 
@@ -320,8 +328,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
                 ehat = estimator.update(phi, d)
             except NumericalBreakdownError as exc:
                 raise NumericalBreakdownError(f"step {k} (t={t:.3f}s): {exc}") from exc
-            controller.gains = estimator.gains
-            kp, ki, kd = controller.gains
+            controller.gains = (kp, ki, kd) = estimator.gains
             pmin, pmax = estimator.eigenvalues()
             deadzone = estimator.deadzone_active
             if not warned_negative and (kp < 0.0 or ki < 0.0 or kd < 0.0):

@@ -41,6 +41,17 @@ class RationalFilter:
         self._b = [c / a0 for c in self.num] + [0.0] * (n - len(self.num))
         self._a = [c / a0 for c in self.den] + [0.0] * (n - len(self.den))
         self._w = [0.0] * (n - 1)
+        # orders 0 and 1 (the PID basis, first-order reference models) step
+        # by an unrolled form of the generic loop: the same operations in
+        # the same order, so the same bits.  A bound method, not a closure
+        # over _w, so that copy.deepcopy and pickle carry the state along.
+        if n == 1:
+            self._b0 = self._b[0]
+            self.step = self._step_order0
+        elif n == 2:
+            self._b0, self._b1 = self._b
+            self._a1 = self._a[1]
+            self.step = self._step_order1
 
     @classmethod
     def from_z(cls, num_z, den_z) -> "RationalFilter":
@@ -77,14 +88,25 @@ class RationalFilter:
         self._w = [0.0] * len(self._w)
 
     def step(self, u: float) -> float:
-        """Advance the difference equation one sample and return the output."""
+        """Advance the difference equation one sample and return the output.
+
+        This is the loop for orders >= 2; orders 0 and 1 replace it per
+        instance (see ``__init__``).
+        """
         b, a, w = self._b, self._a, self._w
-        if not w:
-            return b[0] * u
         y = b[0] * u + w[0]
         for i in range(len(w) - 1):
             w[i] = b[i + 1] * u + w[i + 1] - a[i + 1] * y
         w[-1] = b[len(w)] * u - a[len(w)] * y
+        return y
+
+    def _step_order0(self, u: float) -> float:
+        return self._b0 * u
+
+    def _step_order1(self, u: float) -> float:
+        w = self._w
+        y = self._b0 * u + w[0]
+        w[0] = self._b1 * u - self._a1 * y
         return y
 
     def filter(self, u) -> list[float]:

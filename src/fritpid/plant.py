@@ -16,7 +16,7 @@ import numpy as np
 from .lti import RationalFilter
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoucWenParams:
     """Hysteretic actuator parameters.
 
@@ -31,6 +31,7 @@ class BoucWenParams:
     and the output is stiffness * (alpha*x + (1-alpha)*sigma*z).  bias != 0
     makes the ascending and descending branches saturate at different levels
     (asymmetric loop).  Bounded for beta > |gamma| and |bias| < 1.
+    Frozen: a plant caches constants derived from its parameters.
     """
 
     gain: float = 10.0
@@ -44,12 +45,31 @@ class BoucWenParams:
     bias: float = 0.2
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("hysteresis exponent n must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.sigma <= 0:
-            raise ValueError("stroke scale sigma must be positive")
+        # written as `not ... ok` so that NaN fails every check
+        if not self.n >= 1:
+            raise ValueError(f"hysteresis exponent n must be >= 1, got {self.n}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.sigma > 0:
+            raise ValueError(f"stroke scale sigma must be positive, got {self.sigma}")
+        if not self.beta > abs(self.gamma):
+            raise ValueError(
+                f"beta must exceed |gamma| for a bounded loop, got beta={self.beta}, "
+                f"gamma={self.gamma}"
+            )
+
+
+def saturation_bounds(saturation):
+    """None, or exactly two numbers (lo, hi) with lo < hi, as floats."""
+    if saturation is None:
+        return None
+    try:
+        lo, hi = (float(b) for b in saturation)
+    except (TypeError, ValueError):
+        raise ValueError(f"saturation must be two numbers [lo, hi], got {saturation!r}") from None
+    if not lo < hi:
+        raise ValueError(f"saturation needs lo < hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _validate_schedule(schedule):
@@ -59,6 +79,14 @@ def _validate_schedule(schedule):
     return [dict(entry) for entry in schedule]
 
 
+# standard normals drawn per block of plant noise.  numpy fills an array
+# from the same stream that scalar draws consume, so a plant that uses one
+# value of the block per step adds exactly the noise of one
+# ``rng.standard_normal()`` call per step.  A larger block is no faster per
+# value and holds more boxed floats.
+NOISE_BLOCK = 256
+
+
 class _PlantBase:
     """Saturation, seeded noise, and scheduled parameter switches."""
 
@@ -66,34 +94,41 @@ class _PlantBase:
         if not 0.0 <= noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         self.noise_std = float(noise_std)
-        self.saturation = None if saturation is None else (
-            float(saturation[0]),
-            float(saturation[1]),
-        )
+        self.saturation = saturation_bounds(saturation)
         self.schedule = _validate_schedule(schedule)
-        self._pending = list(self.schedule)
-        self._rng = np.random.default_rng(0)
-        self._last_t = -math.inf
+        self._rearm(seed=0)
 
     def reset(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._pending = list(self.schedule)
-        self._last_t = -math.inf
+        """Restart from rest with the noise reseeded (any drawn block is dropped)."""
+        self._rearm(seed)
         self._reset_state()
+
+    def _rearm(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._noise = iter(())  # the rest of the current block
+        self._pending = list(self.schedule)
+        self._next_switch = self._pending[0]["time"] if self._pending else math.inf
+        self._last_t = -math.inf
 
     def step(self, u: float, t: float) -> float:
         """Advance one sample; returns the (noisy) output."""
         if t < self._last_t:
             raise ValueError("time must be nondecreasing across plant steps")
         self._last_t = t
-        while self._pending and t >= self._pending[0]["time"]:
-            self._apply_switch(self._pending.pop(0))
+        if t >= self._next_switch:
+            while self._pending and t >= self._pending[0]["time"]:
+                self._apply_switch(self._pending.pop(0))
+            self._next_switch = self._pending[0]["time"] if self._pending else math.inf
         if self.saturation is not None:
             lo, hi = self.saturation
             u = min(max(u, lo), hi)
         y = self._advance(u)
         if self.noise_std > 0.0:
-            y += self.noise_std * self._rng.standard_normal()
+            z = next(self._noise, None)
+            if z is None:
+                self._noise = iter(self._rng.standard_normal(NOISE_BLOCK).tolist())
+                z = next(self._noise)
+            y += self.noise_std * z
         return y
 
     def _reset_state(self):
@@ -153,27 +188,42 @@ class BoucWenPlant(_PlantBase):
         super().__init__(noise_std, saturation, schedule)
         if ts <= 0:
             raise ValueError("ts must be positive")
-        self.params = params if params is not None else BoucWenParams()
         self.ts = float(ts)
+        self.params = params if params is not None else BoucWenParams()
         self._x = 0.0
         self._z = 0.0
+
+    @property
+    def params(self) -> BoucWenParams:
+        return self._params
+
+    @params.setter
+    def params(self, p: BoucWenParams) -> None:
+        # per-step constants, each grouped as `_advance` associates it, so
+        # the output is the same to the bit as evaluating the law in full
+        a = math.exp(-self.ts / p.tau)
+        self._params = p
+        self._constants = (
+            a, (1.0 - a) * p.gain, p.sigma, p.n - 1.0, p.n, p.beta, p.gamma,
+            p.bias, p.stiffness, p.alpha, (1.0 - p.alpha) * p.sigma,
+        )
 
     def _reset_state(self):
         self._x = 0.0
         self._z = 0.0
 
     def _advance(self, u: float) -> float:
-        p = self.params
-        a = math.exp(-self.ts / p.tau)
-        x_new = a * self._x + (1.0 - a) * p.gain * u
-        dv = (x_new - self._x) / p.sigma
-        z = self._z
-        zn = abs(z) ** (p.n - 1.0) * z
-        zn_abs = abs(z) ** p.n
-        dz = dv - p.beta * abs(dv) * zn - p.gamma * dv * zn_abs + p.bias * abs(dv)
+        a, drive, sigma, n1, n, beta, gamma, bias, stiffness, alpha, hyst = self._constants
+        x, z = self._x, self._z
+        # x_new = a*x + (1-a)*gain*u, output = stiffness*(alpha*x + (1-alpha)*sigma*z)
+        x_new = a * x + drive * u
+        dv = (x_new - x) / sigma
+        zn = abs(z) ** n1 * z
+        zn_abs = abs(z) ** n
+        dz = dv - beta * abs(dv) * zn - gamma * dv * zn_abs + bias * abs(dv)
         self._x = x_new
-        self._z = z + dz
-        return p.stiffness * (p.alpha * self._x + (1.0 - p.alpha) * p.sigma * self._z)
+        self._z = z = z + dz
+        return stiffness * (alpha * x_new + hyst * z)
 
     def _apply_switch(self, entry):
         values = {k: v for k, v in entry.items() if k in BoucWenParams.__dataclass_fields__}

@@ -40,6 +40,14 @@ class TestRun:
         assert (tmp_path / "matched_lti_trace.csv").exists()
         assert "MAE" in capsys.readouterr().out
 
+    def test_summary_reports_simulation_cost(self, tmp_path, short_scenario):
+        assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "short_summary.json").read_text())
+        for key in ("wall_s", "step_us"):
+            assert isinstance(summary[key], float)
+            assert 0.0 < summary[key] < math.inf
+        assert summary["step_us"] == pytest.approx(summary["wall_s"] / summary["steps"] * 1e6)
+
     @pytest.mark.parametrize(
         "section, edit",
         [
@@ -54,6 +62,23 @@ class TestRun:
             ),
             # 8e10 steps: rejected before any trace buffer is allocated
             pytest.param(None, {"ts": 1e-9}, id="too-many-steps"),
+            pytest.param("plant", {"saturation": [1.0]}, id="saturation-one-bound"),
+            pytest.param("plant", {"saturation": [1.0, -1.0]}, id="saturation-reversed"),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "params": {"foo": 1.0}}, id="bouc-wen-unknown-key"
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "params": {"beta": 0.3, "gamma": -0.3}},
+                id="bouc-wen-beta-not-above-gamma",
+            ),
+            pytest.param("plant", {"kind": "bouc_wen", "params": {"n": 0.5}}, id="bouc-wen-n"),
+            pytest.param("plant", {"kind": "bouc_wen", "params": {"tau": 0.0}}, id="bouc-wen-tau"),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "params": {"tau": math.nan}}, id="bouc-wen-tau-nan"
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "params": {"sigma": -1.0}}, id="bouc-wen-sigma"
+            ),
         ],
     )
     def test_invalid_scenario_exits_2(self, tmp_path, section, edit):

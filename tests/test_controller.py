@@ -38,12 +38,23 @@ class TestPidController:
         assert c.step(1.0) == pytest.approx(100.0)
         assert c.step(1.0) == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("theta", [[1.0, 2.0], [1.0, np.nan, 0.0], 5.0])
+    @pytest.mark.parametrize("theta", [
+        [1.0, 2.0], [1.0, np.nan, 0.0], 5.0,
+        # tuples of three floats take the fast path, which must reject these too
+        (1.0, np.nan, 0.0), (np.inf, -np.inf, 0.0), (0.0, 0.0, -np.inf), (1.0, 2.0),
+    ])
     def test_gains_setter_validates(self, theta):
         c = PidController([1.0, 0.0, 0.0], TS)
         with pytest.raises(ValueError):
             c.gains = theta
         assert c.gains == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [(1e308, 1e308, 0.0), (1, 2, 3), np.array([1.0, 2.0, 3.0])])
+    def test_gains_setter_stores_finite_floats(self, theta):
+        c = PidController([1.0, 0.0, 0.0], TS)
+        c.gains = theta
+        assert c.gains == tuple(float(g) for g in theta)
+        assert all(type(g) is float for g in c.gains)
 
     def test_gain_swap_keeps_integrator_state(self):
         c = PidController([0.0, 1.0, 0.0], TS)

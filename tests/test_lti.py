@@ -182,3 +182,85 @@ class TestReferenceModel:
     def test_bad_discretization(self):
         with pytest.raises(ValueError):
             ReferenceModel.first_order(0.01, discretization="tustin")
+
+
+def reference_step(b, a, w, u):
+    """The generic direct-form-II-transposed step, written out independently.
+
+    b, a: coefficients already divided by den[0] and padded to one length;
+    w: the delay line (len(b) - 1 entries), updated in place.
+    """
+    if not w:
+        return b[0] * u
+    y = b[0] * u + w[0]
+    for i in range(len(w)):
+        if i + 1 < len(w):
+            w[i] = b[i + 1] * u + w[i + 1] - a[i + 1] * y
+        else:
+            w[i] = b[i + 1] * u - a[i + 1] * y
+    return y
+
+
+def reference_run(num, den, u, switches=None):
+    """Reference outputs; `switches` maps a step index to a new numerator."""
+    switches = switches or {}
+    n = max(len(num), len(den))
+    w = [0.0] * (n - 1)
+    out = []
+    for k, x in enumerate(u):
+        num = switches.get(k, num)
+        b = [c / den[0] for c in num] + [0.0] * (n - len(num))
+        a = [c / den[0] for c in den] + [0.0] * (n - len(den))
+        out.append(reference_step(b, a, w, x))
+    return out
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+class TestOrderSpecializedStep:
+    """Orders 0 and 1 step by an unrolled form; the bits must not change."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_generic_difference_equation(self, order):
+        rng = np.random.default_rng(60 + order)
+        for _ in range(20):
+            num = rng.uniform(-2.0, 2.0, size=order + 1)
+            den = np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.4, 0.4, size=order)])
+            if order:
+                den[-1] = rng.choice([den[-1], 0.0])  # a_n = 0: the differencer's shape
+            f = RationalFilter(num, den)
+            assert f.order == order
+            u = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-3, 4, 200),
+                                [0.0, -0.0, 1e-300, 1e300, -1e300, 0.0]]).tolist()
+            ref = reference_run([float(c) for c in num], [float(c) for c in den], u)
+            assert np.array_equal(bits([f.step(x) for x in u]), bits(ref))
+
+    def test_copy_and_reset_keep_the_specialized_step_exact(self):
+        f = RationalFilter([0.3, -0.7], [1.5, -0.6])
+        u = np.random.default_rng(64).standard_normal(50).tolist()
+        ref = reference_run([0.3, -0.7], [1.5, -0.6], u + u)
+        head = [f.step(x) for x in u[:20]]
+        g = f.copy()  # continues from f's delay line
+        tail = [g.step(x) for x in u[20:]]
+        f.reset()
+        assert np.array_equal(bits(head + tail), bits(ref[:50]))
+        assert np.array_equal(bits([f.step(x) for x in u]), bits(ref[:50]))
+
+    @pytest.mark.parametrize("num, den", [
+        ([0.8], [1.0]),
+        ([0.0, 0.0095], [1.0, -0.99]),
+        ([0.2, 0.1, 0.05], [1.0, -0.5, 0.06]),
+    ], ids=["order0", "order1", "order2"])
+    def test_lti_plant_gain_switch_mid_run(self, num, den):
+        from fritpid.plant import LtiPlant
+
+        ts, k_switch, scale = 0.01, 137, 1.7
+        plant = LtiPlant(RationalFilter(num, den),
+                         schedule=[{"time": k_switch * ts, "gain_scale": scale}])
+        plant.reset(seed=0)
+        u = np.random.default_rng(65).uniform(-1.0, 1.0, 400).tolist()
+        ours = [plant.step(x, k * ts) for k, x in enumerate(u)]
+        ref = reference_run(num, den, u, {k_switch: [c * scale for c in num]})
+        assert np.array_equal(bits(ours), bits(ref))

@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from fritpid.lti import RationalFilter
-from fritpid.plant import BoucWenParams, BoucWenPlant, LtiPlant, quasi_static_sweep
+from fritpid.plant import (
+    NOISE_BLOCK,
+    BoucWenParams,
+    BoucWenPlant,
+    LtiPlant,
+    quasi_static_sweep,
+)
 
 TS = 0.01
 
@@ -31,6 +39,11 @@ class TestLtiPlant:
         p = LtiPlant(RationalFilter.identity(), saturation=(-1.0, 1.0))
         y = run_plant(p, np.array([0.5, 3.0, -4.0]))
         assert y == pytest.approx([0.5, 1.0, -1.0])
+
+    @pytest.mark.parametrize("saturation", [(1.0,), (1.0, -1.0), (1.0, 1.0), (0.0, float("nan")), 5.0])
+    def test_saturation_needs_two_increasing_bounds(self, saturation):
+        with pytest.raises(ValueError):
+            LtiPlant(RationalFilter.identity(), saturation=saturation)
 
     def test_gain_doubling_schedule(self):
         f = RationalFilter([0.0, 0.1], [1.0, -0.9])  # DC gain 1
@@ -132,6 +145,43 @@ class TestBoucWenPlant:
             BoucWenParams(tau=0.0)
         with pytest.raises(ValueError):
             BoucWenParams(sigma=0.0)
+        with pytest.raises(ValueError):
+            BoucWenParams(beta=0.3, gamma=-0.3)  # beta <= |gamma|: unbounded loop
+        with pytest.raises(ValueError):
+            BoucWenParams(tau=float("nan"))
+
+    def test_switches_match_per_step_exp_reference(self):
+        """The cached exp(-ts/tau) and drive constants give the same bits as
+        evaluating the Bouc-Wen law in full, with math.exp, on every step."""
+        schedule = [
+            {"time": 1.0, "tau_scale": 1.5},
+            {"time": 2.0, "gain_scale": 0.7, "tau_scale": 0.6},
+            {"time": 3.0, "tau": 0.25, "alpha": 0.5, "n": 2.0},
+        ]
+        p = BoucWenPlant(BoucWenParams(), ts=TS, schedule=schedule)
+        u = (5.0 + 4.0 * np.sin(np.arange(400) * 0.05)).tolist()
+        ours = run_plant(p, u)
+
+        params, pending = BoucWenParams(), list(schedule)
+        x = z = 0.0
+        ref = []
+        for k, uk in enumerate(u):
+            while pending and k * TS >= pending[0]["time"]:
+                entry = pending.pop(0)
+                fields = {f: getattr(params, f) for f in BoucWenParams.__dataclass_fields__}
+                fields.update({f: v for f, v in entry.items() if f in fields})
+                fields["gain"] *= entry.get("gain_scale", 1.0)
+                fields["tau"] *= entry.get("tau_scale", 1.0)
+                params = BoucWenParams(**fields)
+            a = math.exp(-TS / params.tau)
+            x_new = a * x + (1.0 - a) * params.gain * uk
+            dv = (x_new - x) / params.sigma
+            dz = (dv - params.beta * abs(dv) * (abs(z) ** (params.n - 1.0) * z)
+                  - params.gamma * dv * abs(z) ** params.n + params.bias * abs(dv))
+            x, z = x_new, z + dz
+            ref.append(params.stiffness * (params.alpha * x + (1.0 - params.alpha) * params.sigma * z))
+        assert p.params.tau == 0.25
+        assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
 
     def test_schedule_absolute_override(self):
         p = BoucWenPlant(
@@ -142,3 +192,32 @@ class TestBoucWenPlant:
         assert p.params.gain == 10.0
         p.step(1.0, 1.0)
         assert p.params.gain == 5.0
+
+
+class TestNoise:
+    """Noise is drawn NOISE_BLOCK normals at a time: same values as one
+    ``standard_normal()`` call per step."""
+
+    @staticmethod
+    def per_step_reference(seed, u, noise_std):
+        rng = np.random.default_rng(seed)
+        return [1.0 * uk + noise_std * rng.standard_normal() for uk in u]
+
+    def test_block_draws_equal_scalar_draws(self):
+        n = 40 * NOISE_BLOCK + 123  # across 40 block boundaries
+        u = np.linspace(-1.0, 1.0, n).tolist()
+        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        ours = run_plant(p, u, seed=3)
+        ref = self.per_step_reference(3, u, 0.3)
+        assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
+
+    def test_reset_mid_block_restarts_the_stream(self):
+        u = [0.5] * (2 * NOISE_BLOCK + 7)
+        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        p.reset(seed=11)
+        for k in range(NOISE_BLOCK + 17):  # stop inside the second block
+            p.step(0.5, k * TS)
+        for seed in (11, 12):
+            again = run_plant(p, u, seed=seed)
+            ref = self.per_step_reference(seed, u, 0.3)
+            assert np.array_equal(again.view(np.uint64), np.array(ref).view(np.uint64))
