@@ -3,8 +3,9 @@
 
 Checks that the default actuator covers the 10-60 mm displacement band over
 the input range, reports the hysteresis loop geometry, and regenerates the
-FRIT-tuned initial gains frozen into scenarios/load_change.json (prior
-experiment: fixed safe gains, constant 50 mm reference, seed 0).
+FRIT-tuned initial gains frozen into scenarios/load_change.json from the
+prior experiment in perfbench/prior_experiment.json (fixed safe gains,
+constant 50 mm reference) at seed 0.
 
 Run from the repo root as ``PYTHONPATH=src python scripts/calibrate_plant.py``.
 Exits 1 if the plant misses the band or the regenerated gains differ from
@@ -19,10 +20,11 @@ import numpy as np
 
 from fritpid.frit import ClosedLoopDataset, batch_tune, frit_cost
 from fritpid.harness import ScenarioConfig, run_scenario
-from fritpid.lti import ReferenceModel
 from fritpid.plant import BoucWenParams, BoucWenPlant, quasi_static_sweep
 
-LOAD_CHANGE = Path(__file__).resolve().parent.parent / "scenarios" / "load_change.json"
+ROOT = Path(__file__).resolve().parent.parent
+LOAD_CHANGE = ROOT / "scenarios" / "load_change.json"
+PRIOR_EXPERIMENT = ROOT / "perfbench" / "prior_experiment.json"
 TOLERANCE = 1e-6
 
 
@@ -39,19 +41,10 @@ def main():
         print("FAIL: the default plant does not cover 10-60 mm", file=sys.stderr)
         return 1
 
-    prior = ScenarioConfig.from_dict({
-        "name": "prior",
-        "duration": 40.0,
-        "ts": 0.01,
-        "reference": {"kind": "constant", "offset": 50.0},
-        "gm": {"dc_gain": 1.0},
-        "estimator": {"mode": "fixed", "theta0": [0.05, 0.05, 0.0]},
-        "plant": {"kind": "bouc_wen", "noise_std": 0.05},
-        "evaluation_window": [0.0, 40.0],
-    })
+    prior = ScenarioConfig.from_json(PRIOR_EXPERIMENT)
     trace = run_scenario(prior, seed=0)
-    data = ClosedLoopDataset(u0=trace["u"], y0=trace["y"], r=trace["r"], ts=0.01)
-    gm = ReferenceModel.first_order(0.01, dc_gain=1.0)
+    data = ClosedLoopDataset(u0=trace["u"], y0=trace["y"], r=trace["r"], ts=prior.ts)
+    gm = prior.gm.build(prior.ts)
     theta0 = batch_tune(data, gm)
     print(f"prior-experiment tuned gains (freeze into load_change.json):")
     print(f"  theta0 = [{theta0[0]:.8f}, {theta0[1]:.8f}, {theta0[2]:.8f}]")

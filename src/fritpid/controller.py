@@ -18,10 +18,15 @@ from .lti import RationalFilter
 def _gain_floats(theta) -> tuple[float, float, float]:
     """Validate [kp, ki, kd]; returns three floats."""
     try:
-        kp, ki, kd = (float(g) for g in theta)
+        kp, ki, kd = theta
+        kp, ki, kd = float(kp), float(ki), float(kd)
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 gains [kp, ki, kd], got {theta!r}") from None
-    if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
+    # a float sum is finite only if every term is; a sum that overflows
+    # from finite terms is told apart by the per-term check
+    if not math.isfinite(kp + ki + kd) and not (
+        math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)
+    ):
         raise ValueError("gains must be finite")
     return kp, ki, kd
 
@@ -82,15 +87,6 @@ class PidController:
 
     @gains.setter
     def gains(self, theta) -> None:
-        # fast path for what the estimator hands over every step: a tuple of
-        # three floats, kept as is if finite (a float sum is finite only if
-        # every term is; an overflowing sum falls through to the full check)
-        if type(theta) is tuple and len(theta) == 3:
-            kp, ki, kd = theta
-            if (type(kp) is float and type(ki) is float and type(kd) is float
-                    and math.isfinite(kp + ki + kd)):
-                self._gains = theta
-                return
         self._gains = _gain_floats(theta)
 
     def reset(self) -> None:

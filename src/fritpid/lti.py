@@ -24,7 +24,18 @@ def _trim(coeffs: list[float]) -> list[float]:
 
 
 class RationalFilter:
-    """Stateful SISO filter num(z^-1)/den(z^-1)."""
+    """Stateful SISO filter num(z^-1)/den(z^-1); num and den are sequences."""
+
+    def __new__(cls, num=None, den=None):
+        # orders 0 and 1 (the PID basis, first-order reference models) are
+        # built as the subclasses that unroll the step: the generic loop's
+        # operations in the same order, so the same bits.  copy and pickle
+        # call __new__ without coefficients and keep the class they copy.
+        if cls is RationalFilter and den is not None:
+            n = max(len(_trim([float(c) for c in num] or [0.0])),
+                    len(_trim([float(c) for c in den])))
+            cls = _UNROLLED.get(n, cls)
+        return super().__new__(cls)
 
     def __init__(self, num, den):
         num = [float(c) for c in num]
@@ -41,17 +52,11 @@ class RationalFilter:
         self._b = [c / a0 for c in self.num] + [0.0] * (n - len(self.num))
         self._a = [c / a0 for c in self.den] + [0.0] * (n - len(self.den))
         self._w = [0.0] * (n - 1)
-        # orders 0 and 1 (the PID basis, first-order reference models) step
-        # by an unrolled form of the generic loop: the same operations in
-        # the same order, so the same bits.  A bound method, not a closure
-        # over _w, so that copy.deepcopy and pickle carry the state along.
         if n == 1:
             self._b0 = self._b[0]
-            self.step = self._step_order0
         elif n == 2:
             self._b0, self._b1 = self._b
             self._a1 = self._a[1]
-            self.step = self._step_order1
 
     @classmethod
     def from_z(cls, num_z, den_z) -> "RationalFilter":
@@ -90,23 +95,14 @@ class RationalFilter:
     def step(self, u: float) -> float:
         """Advance the difference equation one sample and return the output.
 
-        This is the loop for orders >= 2; orders 0 and 1 replace it per
-        instance (see ``__init__``).
+        This is the loop for orders >= 2; orders 0 and 1 are unrolled in
+        ``_Order0Filter`` and ``_Order1Filter`` (see ``__new__``).
         """
         b, a, w = self._b, self._a, self._w
         y = b[0] * u + w[0]
         for i in range(len(w) - 1):
             w[i] = b[i + 1] * u + w[i + 1] - a[i + 1] * y
         w[-1] = b[len(w)] * u - a[len(w)] * y
-        return y
-
-    def _step_order0(self, u: float) -> float:
-        return self._b0 * u
-
-    def _step_order1(self, u: float) -> float:
-        w = self._w
-        y = self._b0 * u + w[0]
-        w[0] = self._b1 * u - self._a1 * y
         return y
 
     def filter(self, u) -> list[float]:
@@ -137,6 +133,27 @@ class RationalFilter:
 
     def __repr__(self):
         return f"RationalFilter(num={self.num}, den={self.den})"
+
+
+class _Order0Filter(RationalFilter):
+    """A RationalFilter of order 0: a pure gain."""
+
+    def step(self, u: float) -> float:
+        return self._b0 * u
+
+
+class _Order1Filter(RationalFilter):
+    """A RationalFilter of order 1, its difference equation unrolled."""
+
+    def step(self, u: float) -> float:
+        w = self._w
+        y = self._b0 * u + w[0]
+        w[0] = self._b1 * u - self._a1 * y
+        return y
+
+
+# filter classes by len(padded coefficients) = order + 1
+_UNROLLED = {1: _Order0Filter, 2: _Order1Filter}
 
 
 def one_minus(f: RationalFilter) -> RationalFilter:

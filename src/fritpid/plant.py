@@ -63,10 +63,13 @@ def saturation_bounds(saturation):
     """None, or exactly two numbers (lo, hi) with lo < hi, as floats."""
     if saturation is None:
         return None
-    try:
-        lo, hi = (float(b) for b in saturation)
-    except (TypeError, ValueError):
-        raise ValueError(f"saturation must be two numbers [lo, hi], got {saturation!r}") from None
+    if not (
+        isinstance(saturation, (list, tuple))
+        and len(saturation) == 2
+        and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in saturation)
+    ):
+        raise ValueError(f"saturation must be two numbers [lo, hi], got {saturation!r}")
+    lo, hi = float(saturation[0]), float(saturation[1])
     if not lo < hi:
         raise ValueError(f"saturation needs lo < hi, got [{lo}, {hi}]")
     return lo, hi

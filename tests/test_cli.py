@@ -64,6 +64,8 @@ class TestRun:
             pytest.param(None, {"ts": 1e-9}, id="too-many-steps"),
             pytest.param("plant", {"saturation": [1.0]}, id="saturation-one-bound"),
             pytest.param("plant", {"saturation": [1.0, -1.0]}, id="saturation-reversed"),
+            pytest.param("plant", {"saturation": "12"}, id="saturation-string"),
+            pytest.param("plant", {"saturation": [False, True]}, id="saturation-booleans"),
             pytest.param(
                 "plant", {"kind": "bouc_wen", "params": {"foo": 1.0}}, id="bouc-wen-unknown-key"
             ),

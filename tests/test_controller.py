@@ -40,7 +40,7 @@ class TestPidController:
 
     @pytest.mark.parametrize("theta", [
         [1.0, 2.0], [1.0, np.nan, 0.0], 5.0,
-        # tuples of three floats take the fast path, which must reject these too
+        # tuples of three floats, as the estimator hands them over
         (1.0, np.nan, 0.0), (np.inf, -np.inf, 0.0), (0.0, 0.0, -np.inf), (1.0, 2.0),
     ])
     def test_gains_setter_validates(self, theta):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,30 @@ class TestOrderSpecializedStep:
         f.reset()
         assert np.array_equal(bits(head + tail), bits(ref[:50]))
         assert np.array_equal(bits([f.step(x) for x in u]), bits(ref[:50]))
+
+    @pytest.mark.parametrize("num, den", [
+        ([2.0, 0.0], [4.0, 0.0]),  # trailing zeros trimmed: order 0
+        (np.array([0.5, 0.25, 0.0]), np.array([1.0, -0.5, 0.0])),  # order 1
+        ([0.5], [1.0, -0.5, 0.25]),  # order 2
+    ])
+    def test_order_is_read_after_trimming(self, num, den):
+        u = np.random.default_rng(67).standard_normal(30).tolist()
+        ref = reference_run(list(num), list(den), u)
+        f = RationalFilter(num, den)
+        assert np.array_equal(bits([f.step(x) for x in u]), bits(ref))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                             ids=["deepcopy", "pickle"])
+    def test_deepcopy_and_pickle_carry_the_state(self, clone):
+        f = RationalFilter([0.3, -0.7], [1.5, -0.6])
+        u = np.random.default_rng(66).standard_normal(40).tolist()
+        ref = reference_run([0.3, -0.7], [1.5, -0.6], u)
+        head = [f.step(x) for x in u[:15]]
+        g = clone(f)
+        assert isinstance(g, RationalFilter)
+        tail = [g.step(x) for x in u[15:]]
+        assert np.array_equal(bits(head + tail), bits(ref))
+        assert np.array_equal(bits([f.step(x) for x in u[15:]]), bits(ref[15:]))
 
     @pytest.mark.parametrize("num, den", [
         ([0.8], [1.0]),

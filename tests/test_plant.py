@@ -40,7 +40,9 @@ class TestLtiPlant:
         y = run_plant(p, np.array([0.5, 3.0, -4.0]))
         assert y == pytest.approx([0.5, 1.0, -1.0])
 
-    @pytest.mark.parametrize("saturation", [(1.0,), (1.0, -1.0), (1.0, 1.0), (0.0, float("nan")), 5.0])
+    @pytest.mark.parametrize("saturation", [
+        (1.0,), (1.0, -1.0), (1.0, 1.0), (0.0, float("nan")), 5.0, "12", (False, True), ("0", "1"),
+    ])
     def test_saturation_needs_two_increasing_bounds(self, saturation):
         with pytest.raises(ValueError):
             LtiPlant(RationalFilter.identity(), saturation=saturation)
