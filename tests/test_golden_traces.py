@@ -1,0 +1,36 @@
+"""Every golden run reproduces its trace to the bit (see scripts/golden_traces.py)."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_traces.py"
+
+
+def _golden_module():
+    spec = importlib.util.spec_from_file_location("golden_traces", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _golden_module()
+
+
+def test_traces_match_golden_digests():
+    stored = golden.load()
+    moved = golden.differences(stored["runs"], golden.compute())
+    assert not moved, (
+        f"{len(moved)} golden trace(s) moved on {golden.platform_facts()} "
+        f"(digests generated on {stored['generated_on']}); regenerate with "
+        "scripts/golden_traces.py --write only for an intended numerical change:\n"
+        + "\n".join(moved)
+    )
+
+
+def test_golden_file_covers_every_run():
+    runs = golden.load()["runs"]
+    assert len(runs) == len(golden.SCENARIOS) * len(golden.ESTIMATOR_MODES) * len(golden.SEEDS)
+    breakdowns = {k: v for k, v in runs.items() if isinstance(v, dict)}
+    # the one known breakdown: exponential forgetting winds up on matched_lti
+    assert sorted(breakdowns) == ["matched_lti/ef/seed0", "matched_lti/ef/seed7"]
+    assert all(v["breakdown"] == 3974 for v in breakdowns.values())
