@@ -19,7 +19,8 @@ rules for R:
   (Salgado, Goodwin & Middleton 1988), which pulls R toward an SPD floor.
 
 Each rule keeps P and R an exact inverse pair: noforget/ef and df update P
-by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.
+by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.  The
+rule is picked once, when the estimator is built.
 
 The per-step arithmetic is written out on Python floats: a symmetric 3x3
 matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
@@ -29,7 +30,7 @@ array snapshots the estimator hands out.
 
 from __future__ import annotations
 
-import math
+from math import acos, cos, inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -85,19 +86,28 @@ def symmetric_eigen_bounds(P) -> tuple[float, float]:
     return _eigen_bounds(a00, a01, a02, a11, a12, a22)
 
 
+_TWO_PI_3 = 2.0 * pi / 3.0
+
+
+def _unit_bound(r: float) -> float:
+    """min(1.0, max(-1.0, r)) for r outside (-1, 1); NaN goes to -1.0 as there."""
+    return 1.0 if r >= 1.0 else -1.0
+
+
 def _eigen_bounds(a00, a01, a02, a11, a12, a22) -> tuple[float, float]:
     p1 = a01 * a01 + a02 * a02 + a12 * a12
     if p1 == 0.0:
         return min(a00, a11, a22), max(a00, a11, a22)
     q = (a00 + a11 + a22) / 3.0
     d0, d1, d2 = a00 - q, a11 - q, a22 - q
-    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * p1) / 6.0)
+    p = sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * p1) / 6.0)
     # r = det(B) / 2 with B = (A - q I) / p, whose eigenvalues are 2 cos(.)
     b00, b11, b22, b01, b02, b12 = d0 / p, d1 / p, d2 / p, a01 / p, a02 / p, a12 / p
     r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
          + b02 * (b01 * b12 - b11 * b02)) / 2.0
-    phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
-    return q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0), q + 2.0 * p * math.cos(phi)
+    phi = acos(r if -1.0 < r < 1.0 else _unit_bound(r)) / 3.0
+    p2 = 2.0 * p
+    return q + p2 * cos(phi + _TWO_PI_3), q + p2 * cos(phi)
 
 
 def _sym_matrix(m) -> np.ndarray:
@@ -129,26 +139,17 @@ def _inverse(m) -> tuple[float, ...]:
     or diagonal grading of an SPD input; then M^-1 = D (D M D)^-1 D.
     """
     a00, a01, a02, a11, a12, a22 = m
-    if not (0.0 < a00 < math.inf and 0.0 < a11 < math.inf and 0.0 < a22 < math.inf):
+    if not (0.0 < a00 < inf and 0.0 < a11 < inf and 0.0 < a22 < inf):
         raise SingularInformationError(f"information matrix has diagonal {[a00, a11, a22]}")
-    d0, d1, d2 = 1.0 / math.sqrt(a00), 1.0 / math.sqrt(a11), 1.0 / math.sqrt(a22)
+    d0, d1, d2 = 1.0 / sqrt(a00), 1.0 / sqrt(a11), 1.0 / sqrt(a22)
     s01, s02, s12 = a01 * d0 * d1, a02 * d0 * d2, a12 * d1 * d2
     c00, c01, c02 = 1.0 - s12 * s12, s02 * s12 - s01, s01 * s12 - s02
     det = c00 + s01 * c01 + s02 * c02
-    if not 0.0 < det < math.inf:
+    if not 0.0 < det < inf:
         raise SingularInformationError(f"information matrix is singular (scaled det {det})")
     c11, c12, c22 = 1.0 - s02 * s02, s01 * s02 - s12, 1.0 - s01 * s01
     return (c00 / det * d0 * d0, c01 / det * d0 * d1, c02 / det * d0 * d2,
             c11 / det * d1 * d1, c12 / det * d1 * d2, c22 / det * d2 * d2)
-
-
-def _as_sample(phi, d) -> tuple[float, float, float, float]:
-    f0, f1, f2 = phi
-    f0, f1, f2, d = float(f0), float(f1), float(f2), float(d)
-    if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)
-            and math.isfinite(d)):
-        raise NumericalBreakdownError("regressor sample contains non-finite values")
-    return f0, f1, f2, d
 
 
 class Estimator:
@@ -174,9 +175,11 @@ class Estimator:
         mu, epsilon = float(mu), float(epsilon)
         if not 0.0 < mu <= 1.0:
             raise ValueError(f"forgetting factor mu must be in (0, 1], got {mu}")
-        if not 0.0 <= epsilon < math.inf:
+        if not 0.0 <= epsilon < inf:
             raise ValueError(f"deadzone epsilon must be finite and >= 0, got {epsilon}")
         self.mode = mode
+        # a plain function: a bound method held by the instance is a reference cycle
+        self._rule = self._RULES[mode]
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
         self._theta = tuple(as_gains(theta0).tolist())
@@ -216,17 +219,23 @@ class Estimator:
 
     def update(self, phi, d) -> float:
         """Absorb one sample; returns the pre-update residual phi^T theta - d."""
-        f0, f1, f2, d = _as_sample(phi, d)
+        f0, f1, f2 = phi
+        f0, f1, f2, d = float(f0), float(f1), float(f2), float(d)
+        # a sum that overflows from finite terms passes the per-term test
+        if not isfinite(f0 + f1 + f2 + d) and not (
+            isfinite(f0) and isfinite(f1) and isfinite(f2) and isfinite(d)
+        ):
+            raise NumericalBreakdownError("regressor sample contains non-finite values")
         t0, t1, t2 = self._theta
         ehat = f0 * t0 + f1 * t1 + f2 * t2 - d
         if self.mode == "df":
-            self.deadzone_active = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
+            self.deadzone_active = sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
             if self.deadzone_active:
                 return ehat
         # the gain step uses the P already updated for this sample: k = P phi
-        k0, k1, k2 = self._RULES[self.mode](self, f0, f1, f2)
+        k0, k1, k2 = self._rule(self, f0, f1, f2)
         t0, t1, t2 = t0 - ehat * k0, t1 - ehat * k1, t2 - ehat * k2
-        if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(t2)):
+        if not (isfinite(t0) and isfinite(t1) and isfinite(t2)):
             raise NumericalBreakdownError(f"gain step gave non-finite theta {[t0, t1, t2]}")
         self._theta = (t0, t1, t2)
         return ehat
@@ -329,7 +338,7 @@ def _as_init_matrix(value, field: str) -> tuple[float, ...]:
     """Scalar -> scaled identity; matrix -> validated SPD unique entries."""
     if np.ndim(value) == 0:
         v = float(value)
-        if not 0.0 < v < math.inf:
+        if not 0.0 < v < inf:
             raise ValueError(f"{field} must be a positive finite scalar, got {v}")
         return (v, 0.0, 0.0, v, 0.0, v)
     M = np.asarray(value, dtype=float)

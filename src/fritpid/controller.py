@@ -1,7 +1,8 @@
 """Linearly parameterized PID controller.
 
 The control law is u(k) = theta^T * basis(e)(k) with theta = [kp, ki, kd] and
-basis filters [1, ts/(1 - z^-1), (1 - z^-1)/ts].  Because the basis states do
+basis filters beta(z) = [1, ts/(1 - z^-1), (1 - z^-1)/ts], held by `PidBasis`
+as two state floats (integrator, differencer).  Because the basis states do
 not depend on theta, the gains can be swapped every sample (adaptive use)
 without disturbing the integrator or differencer.
 """
@@ -43,34 +44,25 @@ class PidBasis:
         if ts <= 0:
             raise ValueError("sampling time must be positive")
         self.ts = float(ts)
-        self._filters = _make_basis(self.ts)
+        self._d0, self._d1 = 1.0 / self.ts, -1.0 / self.ts  # differencer numerator
+        self.reset()
 
     def reset(self) -> None:
-        for f in self._filters:
-            f.reset()
-
-    def copy(self) -> "PidBasis":
-        b = PidBasis(self.ts)
-        b._filters = [f.copy() for f in self._filters]
-        return b
+        self._integ = 0.0  # integrator delay line
+        self._diff = 0.0  # differencer delay line
 
     def step(self, x: float) -> tuple[float, float, float]:
-        """Advance all three filters one sample; returns (x, integ, diff)."""
-        f0, f1, f2 = self._filters
-        return f0.step(x), f1.step(x), f2.step(x)
+        """Advance all three filters one sample; returns (x, integ, diff).
 
-    def regress(self, x) -> np.ndarray:
-        """Basis-filter a whole sequence from zero state; returns (N, 3)."""
-        fresh = _make_basis(self.ts)
-        return np.column_stack([f.filter(x) for f in fresh])
-
-
-def _make_basis(ts: float) -> list[RationalFilter]:
-    return [
-        RationalFilter.identity(),
-        RationalFilter([ts], [1.0, -1.0]),
-        RationalFilter([1.0 / ts, -1.0 / ts], [1.0]),
-    ]
+        The filters' difference equations with their zero coefficients kept,
+        so the bits (signed zeros included) are those of `RationalFilter`.
+        """
+        x = 1.0 * x
+        integ = self.ts * x + self._integ
+        self._integ = 0.0 * x - (-1.0) * integ
+        diff = self._d0 * x + self._diff
+        self._diff = self._d1 * x - 0.0 * diff
+        return x, integ, diff
 
 
 class PidController:

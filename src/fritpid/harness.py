@@ -36,6 +36,8 @@ ESTIMATOR_MODES = ("fixed", "noforget", "ef", "df", "er")
 # 13 float64 = 104 B per step, so the cap keeps it at 1.04 GB or less
 MAX_STEPS = 10_000_000
 
+TRACE_BLOCK = 64  # steps per block of trace rows copied into the float64 buffer
+
 
 class ConfigError(ValueError):
     """Scenario configuration failed validation."""
@@ -308,37 +310,43 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
     controller = PidController(cfg.estimator.theta0, ts)
     regressor = RegressorGenerator(gm.filter, ts)
 
-    # one row per trace column, written one column (step) at a time
+    # one row per trace column, filled TRACE_BLOCK steps (flat rows) at a time
     buf = np.empty((len(TRACE_COLUMNS), n_steps))
     kp, ki, kd = controller.gains
     pmin = pmax = math.nan
     deadzone = False
     warned_negative = False
     y = 0.0
-    for k in range(n_steps):
-        t = k * ts
-        r = reference(t)
-        e = r - y
-        u = controller.step(e)
-        phi, d = regressor.step(y, u)
-        if estimator is None:
-            ehat = phi[0] * kp + phi[1] * ki + phi[2] * kd - d
-        else:
-            try:
-                ehat = estimator.update(phi, d)
-            except NumericalBreakdownError as exc:
-                raise NumericalBreakdownError(f"step {k} (t={t:.3f}s): {exc}") from exc
-            controller.gains = (kp, ki, kd) = estimator.gains
-            pmin, pmax = estimator.eigenvalues()
-            deadzone = estimator.deadzone_active
-            if not warned_negative and (kp < 0.0 or ki < 0.0 or kd < 0.0):
-                log.warning(
-                    "%s: gains left the positive orthant at t=%.2fs: [%.4g, %.4g, %.4g]",
-                    cfg.name, t, kp, ki, kd,
-                )
-                warned_negative = True
-        buf[:, k] = (k, t, r, y, u, e, ehat, kp, ki, kd, pmin, pmax, deadzone)
-        y = plant.step(u, t)
+    control, regress, advance = controller.step, regressor.step, plant.step
+    if estimator is not None:
+        update, eigenvalues = estimator.update, estimator.eigenvalues
+    for start in range(0, n_steps, TRACE_BLOCK):
+        rows = []
+        for k in range(start, min(start + TRACE_BLOCK, n_steps)):
+            t = k * ts
+            r = reference(t)
+            e = r - y
+            u = control(e)
+            phi, d = regress(y, u)
+            if estimator is None:
+                ehat = phi[0] * kp + phi[1] * ki + phi[2] * kd - d
+            else:
+                try:
+                    ehat = update(phi, d)
+                except NumericalBreakdownError as exc:
+                    raise NumericalBreakdownError(f"step {k} (t={t:.3f}s): {exc}") from exc
+                controller.gains = (kp, ki, kd) = estimator.gains
+                pmin, pmax = eigenvalues()
+                deadzone = estimator.deadzone_active
+                if not warned_negative and (kp < 0.0 or ki < 0.0 or kd < 0.0):
+                    log.warning(
+                        "%s: gains left the positive orthant at t=%.2fs: [%.4g, %.4g, %.4g]",
+                        cfg.name, t, kp, ki, kd,
+                    )
+                    warned_negative = True
+            rows += (k, t, r, y, u, e, ehat, kp, ki, kd, pmin, pmax, deadzone)
+            y = advance(u, t)
+        buf.T[start:k + 1] = np.array(rows, float).reshape(-1, len(TRACE_COLUMNS))
 
     window = (float(cfg.evaluation_window[0]), float(cfg.evaluation_window[1]))
     return RunTrace(dict(zip(TRACE_COLUMNS, buf)), window, cfg.name, seed)

@@ -221,9 +221,8 @@ class BoucWenPlant(_PlantBase):
         # x_new = a*x + (1-a)*gain*u, output = stiffness*(alpha*x + (1-alpha)*sigma*z)
         x_new = a * x + drive * u
         dv = (x_new - x) / sigma
-        zn = abs(z) ** n1 * z
-        zn_abs = abs(z) ** n
-        dz = dv - beta * abs(dv) * zn - gamma * dv * zn_abs + bias * abs(dv)
+        z_abs, dv_abs = abs(z), abs(dv)
+        dz = dv - beta * dv_abs * (z_abs ** n1 * z) - gamma * dv * z_abs ** n + bias * dv_abs
         self._x = x_new
         self._z = z = z + dz
         return stiffness * (alpha * x_new + hyst * z)

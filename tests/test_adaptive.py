@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from fritpid import adaptive
 from fritpid.adaptive import (
     DirectionalForgettingRls,
     Estimator,
@@ -119,6 +122,36 @@ class TestRlsEstimator:
         est = RlsEstimator([0.0, 0.0, 0.0])
         with pytest.raises(NumericalBreakdownError):
             est.update([np.inf, 0.0, 0.0], 1.0)
+
+
+class TestSampleCheck:
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_term_raises(self, mode, value, position):
+        est = Estimator(mode, [0.1, 0.1, 0.01])
+        sample = [0.5, -0.25, 1.0, 2.0]
+        sample[position] = value
+        with pytest.raises(NumericalBreakdownError, match="non-finite"):
+            est.update(sample[:3], sample[3])
+
+    @pytest.mark.parametrize("sample", [
+        ([1e308, 1e308, 0.0], 0.0), ([0.0, 0.0, 1e308], 1e308), ([-1e308, 0.0, -1e308], 0.0),
+    ])
+    def test_finite_terms_whose_sum_overflows_pass_the_check(self, sample):
+        # the sum is inf, yet every term is finite: the check lets the sample
+        # through (the update itself may still break down on the overflow)
+        phi, d = sample
+        assert not math.isfinite(sum(phi) + d)
+        try:
+            Estimator("noforget", [0.0, 0.0, 0.0]).update(phi, d)
+        except NumericalBreakdownError as exc:
+            assert "non-finite values" not in str(exc)
+
+    def test_rule_is_a_plain_function(self):
+        est = Estimator("df", [0.1, 0.1, 0.01])
+        assert est._rule is Estimator._RULES["df"]
+        assert not hasattr(est._rule, "__self__")  # no bound method, no reference cycle
 
 
 class TestDirectionalForgetting:
@@ -390,6 +423,50 @@ class TestEigenBounds:
             w = np.linalg.eigvalsh(S)
             assert abs(lo - w[0]) <= tol * w[-1]
             assert abs(hi - w[-1]) <= tol * w[-1]
+
+
+class TestEigenClamp:
+    @pytest.mark.parametrize("r", [
+        math.nan, 1.0, -1.0, math.inf, -math.inf,
+        math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0), 1.5, -1.5,
+    ])
+    def test_unit_bound_matches_min_max(self, r):
+        want = min(1.0, max(-1.0, r))
+        got = adaptive._unit_bound(r)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("r", [math.nextafter(1.0, 0.0), 0.5, 0.0, -0.0, -0.5,
+                                   math.nextafter(-1.0, 0.0)])
+    def test_chain_passes_the_open_interval_through(self, r):
+        assert -1.0 < r < 1.0 and min(1.0, max(-1.0, r)) == r
+
+    def test_matches_min_max_clamp_near_repeated_eigenvalues(self):
+        # spectra with a double eigenvalue put r = det(B)/2 at +-1, and rounding
+        # pushes it just outside; NaN entries give r = NaN
+        def reference(a00, a01, a02, a11, a12, a22):
+            p1 = a01 * a01 + a02 * a02 + a12 * a12
+            if p1 == 0.0:
+                return min(a00, a11, a22), max(a00, a11, a22)
+            q = (a00 + a11 + a22) / 3.0
+            d0, d1, d2 = a00 - q, a11 - q, a22 - q
+            p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * p1) / 6.0)
+            b00, b11, b22, b01, b02, b12 = d0 / p, d1 / p, d2 / p, a01 / p, a02 / p, a12 / p
+            r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                 + b02 * (b01 * b12 - b11 * b02)) / 2.0
+            phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
+            return (q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0),
+                    q + 2.0 * p * math.cos(phi))
+
+        rng = np.random.default_rng(58)
+        cases = [(1.0, math.nan, 0.0, 1.0, 0.0, 1.0), (math.nan, 0.5, 0.0, 1.0, 0.0, 1.0)]
+        for spectrum in [(1.0, 1.0, 3.0), (1.0, 3.0, 3.0), (2.0, 2.0, 2.0 + 1e-12)]:
+            for _ in range(200):
+                Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+                (a00, a01, a02), (_, a11, a12), (_, _, a22) = (Q @ np.diag(spectrum) @ Q.T).tolist()
+                cases.append((a00, a01, a02, a11, a12, a22))
+        for m in cases:
+            got, want = adaptive._eigen_bounds(*m), reference(*m)
+            assert np.array_equal(got, want, equal_nan=True), (m, got, want)
 
 
 class TestFactory:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from fritpid.adaptive import RegressorGenerator
 from fritpid.controller import PidBasis, PidController, as_gains, pid_filter
+from fritpid.lti import RationalFilter, ReferenceModel, one_minus
 
 TS = 0.01
 
@@ -72,17 +76,8 @@ class TestBasis:
             assert b.step(0.0) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_impulse_first_vector(self):
-        b = PidBasis(TS)
-        assert b.regress([1.0, 0.0, 0.0])[0] == pytest.approx([1.0, TS, 1.0 / TS])
-
-    def test_regress_matches_streamed_control(self):
-        rng = np.random.default_rng(21)
-        theta = np.array([0.4, 1.3, 0.02])
-        x = rng.standard_normal(500)
-        c = PidController(theta, TS)
-        streamed = np.array([c.step(v) for v in x])
-        batch = PidBasis(TS).regress(x) @ theta
-        assert np.max(np.abs(streamed - batch)) < 1e-10
+        assert PidBasis(TS).step(1.0) == pytest.approx((1.0, TS, 1.0 / TS))
+        assert all(type(v) is float for v in PidBasis(TS).step(1))
 
     def test_linearity_in_gains(self):
         rng = np.random.default_rng(22)
@@ -113,3 +108,78 @@ class TestCombinedFilter:
         kp, ki, kd = 0.2, 0.5, 0.004
         f = pid_filter([kp, ki, kd], TS)
         assert f.num[0] == pytest.approx(kp + ki * TS + kd / TS)
+
+
+def _reference_basis(ts):
+    """beta(z) as the three `RationalFilter` objects PidBasis writes out."""
+    return [
+        RationalFilter.identity(),
+        RationalFilter([ts], [1.0, -1.0]),
+        RationalFilter([1.0 / ts, -1.0 / ts], [1.0]),
+    ]
+
+
+def _same_bits(a, b):
+    """== that also tells -0.0 from 0.0 and lets NaN match NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# starts from zero state with signed zeros; then tiny, huge (overflowing the
+# differencer) and ordinary samples; RESET_AT restarts mid-run, the last time
+# before infinite samples turn the delay lines to NaN
+EXTREME_INPUTS = [
+    -0.0, 0.0, -0.0, -0.0, 1e-300, -1e-300, 0.0, 1e300, -1e300, -0.0, 2.5,
+    1e308, -1e308, 0.0, -0.0, 1.0,
+] + np.random.default_rng(31).standard_normal(40).tolist() + [
+    -0.0, -0.0, 0.0, 1.0, 0.0, -0.0, math.inf, 1.0, -math.inf, 0.0,
+]
+RESET_AT = (16, 40, 62)
+
+
+class TestFlattenedBasisBits:
+    """PidBasis and its two callers reproduce the RationalFilter basis bit for bit."""
+
+    @pytest.mark.parametrize("ts", [TS, 0.003, 1.0])
+    def test_basis(self, ts):
+        basis, ref = PidBasis(ts), _reference_basis(ts)
+        for k, x in enumerate(EXTREME_INPUTS):
+            if k in RESET_AT:
+                basis.reset()
+                for f in ref:
+                    f.reset()
+            got = basis.step(x)
+            want = [f.step(x) for f in ref]
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), (k, x, got, want)
+
+    @pytest.mark.parametrize("gains", [(0.4, 1.3, 0.02), (-0.0, 0.0, -0.0), (1e-300, -2.0, 1e300)])
+    def test_controller(self, gains):
+        c, ref = PidController(gains, TS), _reference_basis(TS)
+        kp, ki, kd = gains
+        for k, e in enumerate(EXTREME_INPUTS):
+            if k in RESET_AT:
+                c.reset()
+                for f in ref:
+                    f.reset()
+            x, integ, diff = (f.step(e) for f in ref)
+            want = kp * x + ki * integ + kd * diff
+            got = c.step(e)
+            assert _same_bits(got, want), (k, e, got, want)
+
+    @pytest.mark.parametrize("dc_gain", [1.0, 0.95])
+    def test_regressor(self, dc_gain):
+        gm = ReferenceModel.first_order(TS, dc_gain=dc_gain).filter
+        gen = RegressorGenerator(gm, TS)
+        complement, on_u, ref = one_minus(gm), gm.copy(), _reference_basis(TS)
+        us = np.random.default_rng(32).standard_normal(len(EXTREME_INPUTS)).tolist()
+        for k, (y, u) in enumerate(zip(EXTREME_INPUTS, us)):
+            if k in RESET_AT:
+                gen.reset()
+                for f in (complement, on_u, *ref):
+                    f.reset()
+            c = complement.step(y)
+            want_phi, want_d = [f.step(c) for f in ref], on_u.step(u)
+            phi, d = gen.step(y, u)
+            assert all(_same_bits(g, w) for g, w in zip(phi, want_phi)), (k, phi, want_phi)
+            assert _same_bits(d, want_d), (k, d, want_d)
