@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
 from .controller import PidController
 from .csvio import INTEGER, read_columns, write_columns
 from .lti import RationalFilter, ReferenceModel
-from .plant import BoucWenParams, BoucWenPlant, LtiPlant, saturation_bounds
+from .plant import BoucWenParams, BoucWenPlant, LtiPlant
 
 log = logging.getLogger(__name__)
 
@@ -125,21 +125,15 @@ class PlantSpec:
     saturation: list | None = None
     schedule: list = field(default_factory=list)
 
-    def validate(self):
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ConfigError(f"plant noise_std must be finite and >= 0, got {self.noise_std}")
-        for entry in self.schedule:
-            if not isinstance(entry, dict) or "time" not in entry:
-                raise ConfigError(f"plant schedule entry {entry!r} has no time")
+    def validate(self, ts: float):
+        """Build the plant and apply every scheduled switch to it, so that a
+        bad parameter set fails here and not when its switch fires."""
         try:
-            saturation_bounds(self.saturation)
-        except ValueError as exc:
-            raise ConfigError(f"plant {exc}") from exc
-        if self.kind == "bouc_wen":
-            try:
-                BoucWenParams(**self.params)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad Bouc-Wen params: {exc}") from exc
+            plant = self.build(ts)
+            for entry in plant.schedule:
+                plant._apply_switch(entry)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {self.kind} plant: {exc}") from exc
 
     def build(self, ts: float):
         if self.kind == "lti":
@@ -192,7 +186,11 @@ class ScenarioConfig:
         if self.estimator.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
         self.reference.validate()
-        self.plant.validate()
+        try:
+            self.gm.build(self.ts)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad reference model gm: {exc}") from exc
+        self.plant.validate(self.ts)
 
     def trial_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -203,6 +201,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a scenario is a JSON object, got {type(raw).__name__}")
+        unknown = raw.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
         try:
             return cls(
                 name=raw.get("name", "scenario"),

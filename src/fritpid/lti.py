@@ -40,6 +40,8 @@ class RationalFilter:
     def __init__(self, num, den):
         num = [float(c) for c in num]
         den = [float(c) for c in den]
+        if not all(map(math.isfinite, num + den)):
+            raise ValueError(f"filter coefficients must be finite, got num={num}, den={den}")
         if not den or den[0] == 0.0:
             raise ValueError("den[0] must be nonzero for a causal realization")
         if not num:
@@ -212,8 +214,12 @@ class ReferenceModel:
         0.0095 z^-1 / (1 - 0.99 z^-1); pass dc_gain=1.0 with ``zoh`` for an
         exact unit-gain discretization.
         """
-        if ts <= 0 or tau <= 0:
-            raise ValueError("ts and tau must be positive")
+        # written as `not ... ok` so that NaN fails every check
+        for name, value in (("ts", ts), ("tau", tau)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"reference model {name} must be positive and finite, got {value}")
+        if not math.isfinite(dc_gain):
+            raise ValueError(f"reference model dc_gain must be finite, got {dc_gain}")
         if discretization == "euler":
             pole = 1.0 - ts / tau
         elif discretization == "zoh":

@@ -45,6 +45,9 @@ class BoucWenParams:
     bias: float = 0.2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # written as `not ... ok` so that NaN fails every check
         if not self.n >= 1:
             raise ValueError(f"hysteresis exponent n must be >= 1, got {self.n}")
@@ -75,7 +78,18 @@ def saturation_bounds(saturation):
     return lo, hi
 
 
-def _validate_schedule(schedule):
+def _validate_schedule(schedule, keys):
+    """Copies of the switch entries: known keys only, finite increasing times."""
+    for entry in schedule:
+        if not isinstance(entry, dict) or "time" not in entry:
+            raise ValueError(f"schedule entry {entry!r} has no time")
+        if not entry.keys() <= keys:
+            raise ValueError(
+                f"schedule entry {entry!r} has unknown keys {sorted(entry.keys() - keys)}; "
+                f"allowed: {sorted(keys)}"
+            )
+        if not math.isfinite(entry["time"]):
+            raise ValueError(f"schedule time must be finite, got {entry['time']}")
     times = [entry["time"] for entry in schedule]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("schedule switch times must be strictly increasing")
@@ -93,12 +107,14 @@ NOISE_BLOCK = 256
 class _PlantBase:
     """Saturation, seeded noise, and scheduled parameter switches."""
 
+    SCHEDULE_KEYS = frozenset({"time"})  # what a switch entry may set
+
     def __init__(self, noise_std=0.0, saturation=None, schedule=()):
         if not 0.0 <= noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         self.noise_std = float(noise_std)
         self.saturation = saturation_bounds(saturation)
-        self.schedule = _validate_schedule(schedule)
+        self.schedule = _validate_schedule(schedule, self.SCHEDULE_KEYS)
         self._rearm(seed=0)
 
     def reset(self, seed: int = 0) -> None:
@@ -152,6 +168,8 @@ class LtiPlant(_PlantBase):
     across the switch, so the output is continuous.
     """
 
+    SCHEDULE_KEYS = frozenset({"time", "num", "den", "gain_scale"})
+
     def __init__(self, filt: RationalFilter, noise_std=0.0, saturation=None, schedule=()):
         super().__init__(noise_std, saturation, schedule)
         self._template = filt.copy()
@@ -185,6 +203,10 @@ class BoucWenPlant(_PlantBase):
     ``gain_scale``/``tau_scale`` factors (a load change is roughly "less
     gain, slower stroke").
     """
+
+    SCHEDULE_KEYS = frozenset(
+        {"time", "gain_scale", "tau_scale", *BoucWenParams.__dataclass_fields__}
+    )
 
     def __init__(self, params: BoucWenParams | None = None, ts: float = 0.01,
                  noise_std=0.0, saturation=None, schedule=()):

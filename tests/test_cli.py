@@ -81,6 +81,57 @@ class TestRun:
             pytest.param(
                 "plant", {"kind": "bouc_wen", "params": {"sigma": -1.0}}, id="bouc-wen-sigma"
             ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "params": {"gain": math.nan}}, id="bouc-wen-gain-nan"
+            ),
+            # non-finite reference-model and filter parameters
+            pytest.param("gm", {"dc_gain": math.nan}, id="gm-dc-gain-nan"),
+            pytest.param(
+                None, {"gm": {"dc_gain": math.nan},
+                       "estimator": {"mode": "fixed", "theta0": [0.1, 0.1, 0.01]}},
+                id="gm-dc-gain-nan-fixed",
+            ),
+            pytest.param("gm", {"tau": math.nan}, id="gm-tau-nan"),
+            pytest.param("gm", {"tau": math.inf}, id="gm-tau-inf"),
+            pytest.param("gm", {"num": [0.0, math.nan], "den": [1.0, -0.99]}, id="gm-num-nan"),
+            pytest.param("plant", {"num": [0.0, math.nan]}, id="lti-num-nan"),
+            pytest.param("plant", {"den": [1.0, -math.inf]}, id="lti-den-inf"),
+            # misspelled keys and schedules that would fail only when they fire
+            pytest.param(None, {"duraton": 5.0}, id="unknown-top-level-key"),
+            pytest.param(
+                "plant", {"schedule": [{"time": 50.0, "gain_sclae": 0.7}]},
+                id="lti-schedule-unknown-key",
+            ),
+            pytest.param(
+                "plant", {"schedule": [{"time": 40.0, "num": [0.0, 0.01, 0.0],
+                                        "den": [1.0, -0.99, 0.1]}]},
+                id="lti-schedule-order-change",
+            ),
+            pytest.param(
+                "plant", {"schedule": [{"time": 40.0, "gain_scale": math.nan}]},
+                id="lti-schedule-gain-scale-nan",
+            ),
+            pytest.param(
+                "plant", {"schedule": [{"time": math.nan, "gain_scale": 0.5}]},
+                id="schedule-time-nan",
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "tau_scale": -1}]},
+                id="bouc-wen-schedule-negative-tau-scale",
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "gain_sclae": 0.7}]},
+                id="bouc-wen-schedule-unknown-key",
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "num": [1.0]}]},
+                id="bouc-wen-schedule-lti-key",
+            ),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "schedule": [
+                    {"time": 10.0, "tau_scale": 0.5}, {"time": 20.0, "beta": 0.1}]},
+                id="bouc-wen-schedule-second-switch-unbounded",
+            ),
         ],
     )
     def test_invalid_scenario_exits_2(self, tmp_path, section, edit):
@@ -166,6 +217,14 @@ class TestTune:
         assert main(["tune", str(path)]) == 2
         err = capsys.readouterr().err
         assert "experiment." in err and message in err
+
+    @pytest.mark.parametrize("flag, field", [("--gm-dc-gain", "dc_gain"), ("--gm-tau", "tau")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reference_model_exits_2(self, tmp_path, capsys, flag, field, value):
+        path = tmp_path / "experiment.csv"
+        matched_loop_data(THETA_STAR).save(path)
+        assert main(["tune", str(path), f"{flag}={value}"]) == 2
+        assert re.search(rf"\b{field}\b", capsys.readouterr().err)
 
     def test_degenerate_dataset_exits_3(self, tmp_path):
         from fritpid.frit import ClosedLoopDataset

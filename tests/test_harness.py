@@ -66,6 +66,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"reference": {"kind": "sine", "phase": 1.0}})
 
+    @pytest.mark.parametrize("raw", [[], "scenario", 3])
+    def test_scenario_must_be_an_object(self, raw):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ScenarioConfig.from_dict(raw)
+
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

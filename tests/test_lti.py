@@ -19,6 +19,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RationalFilter([1.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("num, den", [
+        ([np.nan], [1.0]), ([1.0], [1.0, np.inf]), ([0.0, -np.inf], [1.0, -0.5]),
+    ])
+    def test_rejects_non_finite_coefficients(self, num, den):
+        with pytest.raises(ValueError, match="finite"):
+            RationalFilter(num, den)
+
+    @pytest.mark.parametrize("field", ["tau", "dc_gain"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_first_order_model_names_the_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReferenceModel.first_order(0.01, **{field: value})
+
     def test_from_z_right_aligns_short_numerator(self):
         f = RationalFilter.from_z([0.0095], [1.0, -0.99])
         assert f.num == [0.0, 0.0095]
