@@ -1,12 +1,14 @@
 import csv
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fritpid.adaptive import RegressorGenerator
 from fritpid.harness import (
+    TRACE_BLOCK,
     TRACE_COLUMNS,
     ConfigError,
     RunTrace,
@@ -106,6 +108,25 @@ class TestRunScenario:
         trace = run_scenario(identity_plant_config(), seed=0)
         assert trace.mae < 1e-6
         assert len(trace) == 4000
+
+    @pytest.mark.parametrize("mode", ["fixed", "df"])
+    def test_every_step_of_a_partial_trace_block_is_written(self, mode):
+        # rows are copied into the trace TRACE_BLOCK steps at a time; a run
+        # is a prefix of a longer one whatever its length, block edges included
+        cfg = ScenarioConfig.from_json("scenarios/load_change.json")
+        cfg.estimator.mode = mode
+        horizon = 2 * TRACE_BLOCK * cfg.ts + 0.05
+        long = run_scenario(
+            replace(cfg, duration=horizon, evaluation_window=[0.0, horizon]), seed=3
+        )
+        for n in (1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 3):
+            horizon = n * cfg.ts
+            short = run_scenario(
+                replace(cfg, duration=horizon, evaluation_window=[0.0, horizon]), seed=3
+            )
+            assert len(short) == n
+            for c in TRACE_COLUMNS:
+                assert np.array_equal(short[c], long[c][:n], equal_nan=True), (n, c)
 
     def test_all_methods_on_identity_plant(self):
         rows = compare_methods(method_variants(identity_plant_config()))
