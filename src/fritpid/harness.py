@@ -190,7 +190,7 @@ class ScenarioConfig:
         try:
             self.gm.build(self.ts)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad reference model gm: {exc}") from exc
+            raise ConfigError(f"bad gm: {exc}") from exc
         self.plant.validate(self.ts)
 
     def trial_seeds(self) -> list[int]:
