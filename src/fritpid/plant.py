@@ -123,7 +123,9 @@ class _PlantBase:
         self._reset_state()
 
     def _rearm(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
+        # the generator is made at the first draw: numpy imports numpy.random
+        # (~12 ms) on first use, which a noise-free plant need not pay
+        self._seed, self._rng = seed, None
         self._noise = iter(())  # the rest of the current block
         self._pending = list(self.schedule)
         self._next_switch = self._pending[0]["time"] if self._pending else math.inf
@@ -145,6 +147,8 @@ class _PlantBase:
         if self.noise_std > 0.0:
             z = next(self._noise, None)
             if z is None:
+                if self._rng is None:
+                    self._rng = np.random.default_rng(self._seed)
                 self._noise = iter(self._rng.standard_normal(NOISE_BLOCK).tolist())
                 z = next(self._noise)
             y += self.noise_std * z

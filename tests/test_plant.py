@@ -213,6 +213,14 @@ class TestNoise:
         ref = self.per_step_reference(3, u, 0.3)
         assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
 
+    def test_a_fresh_plant_draws_the_seed_0_stream(self):
+        # the generator is made at the first draw, not when the plant is built
+        u = [0.5] * (NOISE_BLOCK + 3)
+        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        ours = np.array([p.step(uk, k * TS) for k, uk in enumerate(u)])
+        ref = self.per_step_reference(0, u, 0.3)
+        assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
+
     def test_reset_mid_block_restarts_the_stream(self):
         u = [0.5] * (2 * NOISE_BLOCK + 7)
         p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
