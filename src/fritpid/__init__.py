@@ -26,7 +26,6 @@ from .frit import (
     batch_tune,
     fictitious_reference,
     frit_cost,
-    polish,
 )
 from .harness import (
     ConfigError,
@@ -74,7 +73,6 @@ __all__ = [
     "mu_sweep",
     "one_minus",
     "pid_filter",
-    "polish",
     "quasi_static_sweep",
     "run_scenario",
     "symmetric_eigen_bounds",

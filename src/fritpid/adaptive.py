@@ -76,12 +76,11 @@ def symmetric_eigen_bounds(P) -> tuple[float, float]:
     """Extreme eigenvalues of a symmetric 3x3 matrix, in closed form.
 
     Uses the trigonometric solution of the characteristic cubic on the upper
-    triangle; falls back to numpy for other sizes.
+    triangle; any other shape is a ValueError.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (3, 3):
-        w = np.linalg.eigvalsh(P)
-        return float(w[0]), float(w[-1])
+        raise ValueError(f"expected a 3x3 matrix, got shape {P.shape}")
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = P.tolist()
     return _eigen_bounds(a00, a01, a02, a11, a12, a22)
 

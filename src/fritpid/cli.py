@@ -23,31 +23,22 @@ from .adaptive import NumericalBreakdownError
 from .frit import ClosedLoopDataset, RankDeficientError, batch_tune, frit_cost
 from .harness import (
     ConfigError,
+    GmSpec,
     ScenarioConfig,
     compare_methods,
     method_variants,
     mu_sweep,
     run_scenario,
 )
-from .lti import ReferenceModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _gm_from_args(args, ts: float) -> ReferenceModel:
-    return ReferenceModel.first_order(
-        ts,
-        tau=args.gm_tau,
-        dc_gain=args.gm_dc_gain,
-        discretization="zoh" if args.exact_zoh else "euler",
-    )
-
-
 def _cmd_tune(args) -> int:
     data = ClosedLoopDataset.load(args.dataset)
-    gm = _gm_from_args(args, data.ts)
+    gm = GmSpec(args.gm_tau, args.gm_dc_gain, "zoh" if args.exact_zoh else "euler").build(data.ts)
     theta = batch_tune(data, gm)
     cost = frit_cost(theta, data, gm)
     print(f"kp = {theta[0]:.6g}")
@@ -145,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="offline tuning from a closed-loop CSV")
     p_tune.add_argument("dataset", help="CSV with k,r,u,y columns (+ .json sidecar)")
-    p_tune.add_argument("--gm-tau", type=float, default=1.0)
-    p_tune.add_argument("--gm-dc-gain", type=float, default=0.95)
+    p_tune.add_argument("--gm-tau", type=float, default=GmSpec.tau)
+    p_tune.add_argument("--gm-dc-gain", type=float, default=GmSpec.dc_gain)
     p_tune.add_argument("--exact-zoh", action="store_true",
                         help="zero-order-hold reference model instead of the default")
     p_tune.add_argument("--out", help="write tuned gains to this JSON file")

@@ -41,8 +41,8 @@ class PidBasis:
     """The three basis filters applied to a shared scalar input stream."""
 
     def __init__(self, ts: float):
-        if ts <= 0:
-            raise ValueError("sampling time must be positive")
+        if not 0.0 < ts < math.inf:  # written so that NaN fails too
+            raise ValueError(f"sampling time must be positive and finite, got {ts}")
         self.ts = float(ts)
         self._d0, self._d1 = 1.0 / self.ts, -1.0 / self.ts  # differencer numerator
         self.reset()

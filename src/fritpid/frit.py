@@ -27,6 +27,7 @@ from .lti import ReferenceModel
 
 PROPERNESS_TOL = 1e-9
 CONDITION_LIMIT = 1e12
+TRANSIENT_SKIP = 10  # samples dropped from cost sums to suppress filter start-up artifacts
 
 
 class InverseNotProperError(ValueError):
@@ -96,11 +97,6 @@ class ClosedLoopDataset:
         return cls(u0=u, y0=y, r=r, ts=float(ts))
 
 
-def transient_skip(order: int = 2) -> int:
-    """Samples dropped from cost sums to suppress filter start-up artifacts."""
-    return max(10, 3 * order)
-
-
 def fictitious_reference(theta, data: ClosedLoopDataset) -> np.ndarray:
     """r_tilde(theta, k) = C(theta)^-1 u0(k) + y0(k)."""
     kp, ki, kd = as_gains(theta)
@@ -127,27 +123,23 @@ def frit_cost(theta, data: ClosedLoopDataset, gm: ReferenceModel) -> float:
     """
     r_tilde = fictitious_reference(theta, data)
     ref = np.asarray(gm.filter.filter(r_tilde))
-    skip = transient_skip()
-    resid = data.y0[skip:] - ref[skip:]
+    resid = data.y0[TRANSIENT_SKIP:] - ref[TRANSIENT_SKIP:]
     if not np.all(np.isfinite(resid)):
         return math.inf
     return float(resid @ resid)
 
 
 def regressor_samples(
-    data: ClosedLoopDataset, gm: ReferenceModel, skip: int | None = None
+    data: ClosedLoopDataset, gm: ReferenceModel, skip: int = TRANSIENT_SKIP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch (Phi, d) arrays from a dataset, transient samples dropped."""
     gen = RegressorGenerator(gm.filter, data.ts)
     phis, ds = zip(*map(gen.step, data.y0.tolist(), data.u0.tolist()))
-    phis, ds = np.array(phis), np.array(ds)
-    if skip is None:
-        skip = transient_skip()
-    return phis[skip:], ds[skip:]
+    return np.array(phis)[skip:], np.array(ds)[skip:]
 
 
 def batch_tune(
-    data: ClosedLoopDataset, gm: ReferenceModel, skip: int | None = None
+    data: ClosedLoopDataset, gm: ReferenceModel, skip: int = TRANSIENT_SKIP
 ) -> np.ndarray:
     """Gains minimizing the convex surrogate, by normal equations."""
     phis, ds = regressor_samples(data, gm, skip=skip)
@@ -158,36 +150,3 @@ def batch_tune(
         )
     return np.linalg.solve(A, phis.T @ ds)
 
-
-def polish(
-    theta,
-    data: ClosedLoopDataset,
-    gm: ReferenceModel,
-    iterations: int = 50,
-    initial_step: float = 0.1,
-) -> np.ndarray:
-    """Derivative-free touch-up of the nonconvex cost around a tuned point.
-
-    Coordinate search with a shrinking step; never returns gains with a
-    higher cost than the starting point.
-    """
-    theta = as_gains(theta)
-    best = frit_cost(theta, data, gm)
-    step = initial_step * np.maximum(np.abs(theta), 1e-3)
-    for _ in range(iterations):
-        improved = False
-        for i in range(3):
-            for sign in (+1.0, -1.0):
-                trial = theta.copy()
-                trial[i] += sign * step[i]
-                try:
-                    cost = frit_cost(trial, data, gm)
-                except InverseNotProperError:
-                    continue
-                if cost < best:
-                    theta, best = trial, cost
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return theta

@@ -55,6 +55,14 @@ class ReferenceSpec:
     interval: float = 20.0
 
     def validate(self):
+        try:  # stored as floats, so that the signal computes with numbers
+            for name in ("amplitude", "offset", "frequency", "period", "interval"):
+                setattr(self, name, float(getattr(self, name)))
+            self.levels = [float(level) for level in self.levels]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"reference values must be numbers: {exc}") from exc
+        if not all(map(math.isfinite, [self.amplitude, self.offset, self.frequency, *self.levels])):
+            raise ConfigError(f"reference values must be finite, got {self}")
         if self.kind == "square" and not 0.0 < self.period < math.inf:
             raise ConfigError(f"square reference period must be positive, got {self.period}")
         if self.kind == "staircase":
@@ -86,7 +94,7 @@ class ReferenceSpec:
 @dataclass
 class GmSpec:
     tau: float = 1.0
-    dc_gain: float = 0.95
+    dc_gain: float = 1.0
     discretization: str = "euler"
     num: list | None = None
     den: list | None = None
@@ -161,9 +169,11 @@ class ScenarioConfig:
     plant: PlantSpec = field(default_factory=PlantSpec)
     trials: int = 1
     seeds: list | None = None
-    evaluation_window: list = field(default_factory=lambda: [0.0, 80.0])
+    evaluation_window: list | None = None  # None: [0, duration]
 
     def __post_init__(self):
+        if self.evaluation_window is None:
+            self.evaluation_window = [0.0, self.duration]
         self.validate()
 
     def validate(self):
@@ -184,6 +194,10 @@ class ScenarioConfig:
             raise ConfigError("evaluation_window must lie inside [0, duration]")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seeds is not None and not (isinstance(self.seeds, list) and all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds
+        )):
+            raise ConfigError(f"seeds must be null or a list of integers >= 0, got {self.seeds!r}")
         if self.estimator.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
         self.reference.validate()
@@ -191,13 +205,17 @@ class ScenarioConfig:
             self.gm.build(self.ts)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad gm: {exc}") from exc
+        try:
+            self.estimator.build()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad estimator: {exc}") from exc
         self.plant.validate(self.ts)
 
     def trial_seeds(self) -> list[int]:
         if self.seeds is not None:
             if len(self.seeds) < self.trials:
                 raise ConfigError("fewer seeds than trials")
-            return [int(s) for s in self.seeds[: self.trials]]
+            return self.seeds[: self.trials]
         return list(range(self.trials))
 
     @classmethod
@@ -207,22 +225,17 @@ class ScenarioConfig:
         unknown = raw.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
+        kwargs = dict(raw)  # the keys not named below pass as they are
         try:
-            return cls(
-                name=raw.get("name", "scenario"),
-                duration=float(raw.get("duration", 80.0)),
-                ts=float(raw.get("ts", 0.01)),
-                reference=ReferenceSpec(**raw.get("reference", {})),
-                gm=GmSpec(**raw.get("gm", {})),
-                estimator=EstimatorSpec(**raw.get("estimator", {})),
-                plant=PlantSpec(**raw.get("plant", {})),
-                trials=int(raw.get("trials", 1)),
-                seeds=raw.get("seeds"),
-                evaluation_window=list(
-                    raw.get("evaluation_window", [0.0, float(raw.get("duration", 80.0))])
-                ),
-            )
-        except TypeError as exc:
+            for key, spec in (("reference", ReferenceSpec), ("gm", GmSpec),
+                              ("estimator", EstimatorSpec), ("plant", PlantSpec)):
+                if key in raw:
+                    kwargs[key] = spec(**raw[key])
+            for key, number in (("duration", float), ("ts", float), ("trials", int)):
+                if key in raw:
+                    kwargs[key] = number(raw[key])
+            return cls(**kwargs)
+        except (TypeError, OverflowError) as exc:
             raise ConfigError(f"bad scenario field: {exc}") from exc
 
     @classmethod

@@ -61,26 +61,8 @@ class RationalFilter:
             self._a1 = self._a[1]
 
     @classmethod
-    def from_z(cls, num_z, den_z) -> "RationalFilter":
-        """Build from polynomials in z (descending powers).
-
-        A shorter numerator is right-aligned, so e.g. ``from_z([0.0095],
-        [1, -0.99])``, i.e. 0.0095/(z - 0.99), becomes the strictly proper
-        0.0095 z^-1 / (1 - 0.99 z^-1).
-        """
-        num_z = list(num_z)
-        den_z = list(den_z)
-        if len(num_z) > len(den_z):
-            raise ValueError("numerator degree exceeds denominator: not causal")
-        return cls([0.0] * (len(den_z) - len(num_z)) + num_z, den_z)
-
-    @classmethod
     def identity(cls) -> "RationalFilter":
         return cls([1.0], [1.0])
-
-    @classmethod
-    def zero(cls) -> "RationalFilter":
-        return cls([0.0], [1.0])
 
     @property
     def order(self) -> int:
@@ -114,14 +96,6 @@ class RationalFilter:
         """
         f = RationalFilter(self.num, self.den)
         return [f.step(x) for x in np.asarray(u, dtype=float).tolist()]
-
-    def __mul__(self, other: "RationalFilter") -> "RationalFilter":
-        """Series composition: self * other is 'other then self' (commutes for SISO)."""
-        if not isinstance(other, RationalFilter):
-            return NotImplemented
-        return RationalFilter(
-            _poly_mul(self.num, other.num), _poly_mul(self.den, other.den)
-        )
 
     def inverse(self) -> "RationalFilter":
         """Exact rational inverse den/num; requires num[0] != 0 (biproper)."""
@@ -169,14 +143,6 @@ def one_minus(f: RationalFilter) -> RationalFilter:
     return RationalFilter(num, f.den)
 
 
-def _poly_mul(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _roots_desc(coeffs) -> list[complex]:
     """Roots of a z^-1 coefficient list, interpreted in the z plane.
 
@@ -204,15 +170,15 @@ class ReferenceModel:
         cls,
         ts: float,
         tau: float = 1.0,
-        dc_gain: float = 0.95,
+        dc_gain: float = 1.0,
         discretization: str = "euler",
     ) -> "ReferenceModel":
         """First-order lag with a one-step input delay.
 
         ``euler`` places the pole at 1 - ts/tau, ``zoh`` at exp(-ts/tau).
-        The library default (ts=0.01, tau=1, dc_gain=0.95, euler) is
-        0.0095 z^-1 / (1 - 0.99 z^-1); pass dc_gain=1.0 with ``zoh`` for an
-        exact unit-gain discretization.
+        At ts=0.01 the defaults (tau=1, dc_gain=1.0, euler) give
+        0.01 z^-1 / (1 - 0.99 z^-1); ``zoh`` is the exact unit-gain
+        discretization.
         """
         # written as `not ... ok` so that NaN fails every check
         for name, value in (("ts", ts), ("tau", tau)):

@@ -115,14 +115,10 @@ class _PlantBase:
         self.noise_std = float(noise_std)
         self.saturation = saturation_bounds(saturation)
         self.schedule = _validate_schedule(schedule, self.SCHEDULE_KEYS)
-        self._rearm(seed=0)
+        self.reset()
 
     def reset(self, seed: int = 0) -> None:
-        """Restart from rest with the noise reseeded (any drawn block is dropped)."""
-        self._rearm(seed)
-        self._reset_state()
-
-    def _rearm(self, seed: int) -> None:
+        """Restart from the initial state, schedule re-armed and noise reseeded."""
         # the generator is made at the first draw: numpy imports numpy.random
         # (~12 ms) on first use, which a noise-free plant need not pay
         self._seed, self._rng = seed, None
@@ -130,6 +126,7 @@ class _PlantBase:
         self._pending = list(self.schedule)
         self._next_switch = self._pending[0]["time"] if self._pending else math.inf
         self._last_t = -math.inf
+        self._reset_state()
 
     def step(self, u: float, t: float) -> float:
         """Advance one sample; returns the (noisy) output."""
@@ -175,10 +172,8 @@ class LtiPlant(_PlantBase):
     SCHEDULE_KEYS = frozenset({"time", "num", "den", "gain_scale"})
 
     def __init__(self, filt: RationalFilter, noise_std=0.0, saturation=None, schedule=()):
-        super().__init__(noise_std, saturation, schedule)
         self._template = filt.copy()
-        self._filter = filt.copy()
-        self._filter.reset()
+        super().__init__(noise_std, saturation, schedule)
 
     def _reset_state(self):
         self._filter = self._template.copy()
@@ -205,7 +200,7 @@ class BoucWenPlant(_PlantBase):
 
     Schedule entries may set any ``BoucWenParams`` field by name or apply
     ``gain_scale``/``tau_scale`` factors (a load change is roughly "less
-    gain, slower stroke").
+    gain, slower stroke").  ``reset`` restores the parameters it was built with.
     """
 
     SCHEDULE_KEYS = frozenset(
@@ -214,13 +209,11 @@ class BoucWenPlant(_PlantBase):
 
     def __init__(self, params: BoucWenParams | None = None, ts: float = 0.01,
                  noise_std=0.0, saturation=None, schedule=()):
-        super().__init__(noise_std, saturation, schedule)
-        if ts <= 0:
-            raise ValueError("ts must be positive")
+        if not 0.0 < ts < math.inf:  # written so that NaN fails too
+            raise ValueError(f"ts must be positive and finite, got {ts}")
         self.ts = float(ts)
-        self.params = params if params is not None else BoucWenParams()
-        self._x = 0.0
-        self._z = 0.0
+        self._initial_params = params if params is not None else BoucWenParams()
+        super().__init__(noise_std, saturation, schedule)
 
     @property
     def params(self) -> BoucWenParams:
@@ -238,6 +231,7 @@ class BoucWenPlant(_PlantBase):
         )
 
     def _reset_state(self):
+        self.params = self._initial_params
         self._x = 0.0
         self._z = 0.0
 

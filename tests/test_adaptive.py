@@ -34,7 +34,7 @@ class TestRegressorGenerator:
             assert d == 0.0
 
     def test_zero_reference_model_passes_output_through_basis(self):
-        gen = RegressorGenerator(RationalFilter.zero(), TS)
+        gen = RegressorGenerator(RationalFilter([0.0], [1.0]), TS)
         phi, d = gen.step(1.0, 5.0)
         assert phi == pytest.approx([1.0, TS, 1.0 / TS])
         assert d == 0.0

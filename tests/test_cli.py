@@ -132,6 +132,18 @@ class TestRun:
                     {"time": 10.0, "tau_scale": 0.5}, {"time": 20.0, "beta": 0.1}]},
                 id="bouc-wen-schedule-second-switch-unbounded",
             ),
+            # values of the wrong type that used to fail only at run time
+            pytest.param(None, {"seeds": [None]}, id="seeds-null-entry"),
+            pytest.param(None, {"seeds": True}, id="seeds-boolean"),
+            pytest.param(None, {"trials": math.inf}, id="trials-inf"),
+            pytest.param(
+                "reference", {"kind": "staircase", "levels": ["a"]}, id="staircase-string-level"
+            ),
+            pytest.param("reference", {"kind": "sine", "amplitude": "a"}, id="sine-string-amplitude"),
+            pytest.param("reference", {"kind": "sine", "amplitude": math.nan}, id="sine-amplitude-nan"),
+            pytest.param("reference", {"kind": "constant", "offset": "x"}, id="constant-string-offset"),
+            pytest.param("estimator", {"mu": None}, id="estimator-mu-null"),
+            pytest.param("estimator", {"r0": None}, id="estimator-r0-null"),
         ],
     )
     def test_invalid_scenario_exits_2(self, tmp_path, section, edit):

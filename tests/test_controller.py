@@ -90,8 +90,9 @@ class TestBasis:
         assert np.max(np.abs(uab - (ua + ub))) < 1e-12 * max(1.0, np.max(np.abs(uab)))
 
     def test_rejects_nonpositive_ts(self):
-        with pytest.raises(ValueError):
-            PidBasis(0.0)
+        for ts in (0.0, -TS, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sampling time"):
+                PidBasis(ts)
 
 
 class TestCombinedFilter:

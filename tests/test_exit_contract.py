@@ -1,0 +1,110 @@
+"""Property test of the `fritpid run` exit-code contract.
+
+Every input exits 0 (success), 2 (configuration error) or 3 (numerical
+breakdown); no exception escapes `cli.main`.  The inputs are the bundled
+scenarios with one to three of their nodes mutated: a type swap, NaN or an
+infinity, a negation or zero, an empty list, a deletion, or an unknown key
+next to it.  Each run is capped at CAP_S seconds of simulated time.
+"""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fritpid.cli import main
+from fritpid.harness import ScenarioConfig
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+CAP_S = 2.0
+
+
+def capped(raw: dict) -> dict:
+    """The scenario on [0, CAP_S], its schedule switches moved inside it."""
+    raw = copy.deepcopy(raw)
+    scale = CAP_S / raw["duration"]
+    raw["duration"] = CAP_S
+    raw["evaluation_window"] = [0.0, CAP_S]
+    for entry in raw["plant"].get("schedule", []):
+        entry["time"] *= scale
+    return raw
+
+
+BASES = [capped(json.loads(p.read_text())) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+
+
+def nodes(value, path=()):
+    """Path of every node under the root, containers and leaves alike."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from nodes(child, path + (key,))
+
+
+def negated(v):
+    return -v if isinstance(v, (int, float)) and not isinstance(v, bool) else -1.0
+
+
+MUTATIONS = {
+    "string": lambda v: "x",
+    "null": lambda v: None,
+    "bool": lambda v: True,
+    "list": lambda v: [v],
+    "object": lambda v: {"value": v},
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "negated": negated,
+    "zero": lambda v: 0,
+    "empty list": lambda v: [],
+}
+
+
+def mutate(raw: dict, path: tuple, how: str) -> None:
+    *head, key = path
+    parent = raw
+    for k in head:
+        parent = parent[k]
+    if how == "delete":
+        del parent[key]
+    elif how == "unknown key":
+        (parent if isinstance(parent, dict) else raw)["no_such_key"] = 1.0
+    else:
+        parent[key] = MUTATIONS[how](parent[key])
+
+
+def cap_duration(raw: dict) -> None:
+    """A duration that still gives a valid run longer than CAP_S becomes CAP_S."""
+    try:
+        duration = float(raw.get("duration", ScenarioConfig.duration))
+    except (TypeError, ValueError):
+        return
+    if CAP_S < duration < math.inf:
+        raw["duration"] = CAP_S
+
+
+@st.composite
+def mutants(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(nodes(raw))
+        if not paths:
+            break
+        how = draw(st.sampled_from([*MUTATIONS, "delete", "unknown key"]))
+        mutate(raw, draw(st.sampled_from(paths)), how)
+    cap_duration(raw)
+    return raw
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(raw=mutants())
+def test_run_exits_0_2_or_3(tmp_path_factory, raw):
+    root = tmp_path_factory.getbasetemp() / "exit_contract"
+    root.mkdir(exist_ok=True)
+    path = root / "mutant.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(root / "out")]) in (0, 2, 3)

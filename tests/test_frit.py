@@ -14,7 +14,6 @@ from fritpid.frit import (
     batch_tune,
     fictitious_reference,
     frit_cost,
-    polish,
     regressor_samples,
 )
 
@@ -147,16 +146,6 @@ class TestBatchTune:
             est.update(phi, d)
         batch = batch_tune(data, gm_default)
         assert np.linalg.norm(est.theta - batch) / np.linalg.norm(batch) < 1e-6
-
-
-class TestPolish:
-    def test_never_increases_cost(self, gm_default):
-        data = matched_loop_data(THETA_STAR, n=1200, gm=gm_default)
-        start = np.array([0.2, 0.05, 0.005])
-        polished = polish(start, data, gm_default, iterations=25)
-        assert frit_cost(polished, data, gm_default) <= frit_cost(
-            start, data, gm_default
-        )
 
 
 def reference_dataset_csv(data, path):

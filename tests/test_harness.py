@@ -79,6 +79,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json(p)
 
+    def test_default_window_is_the_whole_run(self):
+        cfg = ScenarioConfig(duration=10.0)
+        assert cfg.evaluation_window == [0.0, 10.0]
+        assert cfg == ScenarioConfig.from_dict({"duration": 10.0})
+
     def test_seeds_default_to_range(self):
         cfg = identity_plant_config()
         cfg.trials = 4
@@ -150,16 +155,16 @@ class TestRunScenario:
         assert np.max(np.abs(trace["y"][mask] - ygm[mask])) < 1e-3
 
     def test_default_reference_model_steers_toward_its_dc_gain(self):
-        # with the default (dc gain 0.95) model the tuner's objective is
-        # y -> 0.95 r, not y -> r: the adapted loop parks 5% below the
-        # reference.  This is why unit-dc variants exist for tracking work.
+        # with a dc gain 0.95 model the tuner's objective is y -> 0.95 r,
+        # not y -> r: the adapted loop parks 5% below the reference.  This
+        # is why the bundled scenarios use dc gain 1.0.
         cfg = ScenarioConfig.from_dict(
             {
                 "name": "default_gm",
                 "duration": 30.0,
                 "ts": TS,
                 "reference": {"kind": "constant", "offset": 1.0},
-                "gm": {},  # 0.0095 z^-1 / (1 - 0.99 z^-1)
+                "gm": {"dc_gain": 0.95},  # 0.0095 z^-1 / (1 - 0.99 z^-1)
                 "estimator": {"mode": "df", "mu": 0.9, "theta0": [0.1, 0.1, 0.01]},
                 "plant": {"kind": "lti", "num": [0.0, 0.0095], "den": [1.0, -0.99]},
                 "evaluation_window": [20.0, 30.0],

@@ -185,6 +185,21 @@ class TestBoucWenPlant:
         assert p.params.tau == 0.25
         assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
 
+    @pytest.mark.parametrize("ts", [0.0, -TS, math.nan, math.inf])
+    def test_rejects_bad_ts(self, ts):
+        with pytest.raises(ValueError, match="ts must be positive"):
+            BoucWenPlant(BoucWenParams(), ts=ts)
+
+    def test_reset_restores_initial_params(self):
+        # the switch halves the gain; a reset must undo it, not compound it
+        p = BoucWenPlant(BoucWenParams(), ts=TS, schedule=[{"time": 0.5, "gain_scale": 0.5}])
+        u = 5.0 + 2.0 * np.sin(np.linspace(0, 6, 200))
+        first = run_plant(p, u)
+        params = p.params
+        second = run_plant(p, u)
+        assert p.params == params and p.params.gain == 5.0
+        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
     def test_schedule_absolute_override(self):
         p = BoucWenPlant(
             BoucWenParams(), ts=TS, schedule=[{"time": 1.0, "gain": 5.0}]
