@@ -30,6 +30,7 @@ from .harness import (
     mu_sweep,
     run_scenario,
 )
+from .lti import ReferenceModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +39,8 @@ EXIT_NUMERICAL = 3
 
 def _cmd_tune(args) -> int:
     data = ClosedLoopDataset.load(args.dataset)
-    gm = GmSpec(args.gm_tau, args.gm_dc_gain, "zoh" if args.exact_zoh else "euler").build(data.ts)
+    gm = ReferenceModel.first_order(data.ts, tau=args.gm_tau, dc_gain=args.gm_dc_gain,
+                                    discretization="zoh" if args.exact_zoh else "euler")
     theta = batch_tune(data, gm)
     cost = frit_cost(theta, data, gm)
     print(f"kp = {theta[0]:.6g}")
@@ -55,9 +57,10 @@ def _cmd_tune(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
-    seed = args.seed if args.seed is not None else cfg.trial_seeds()[0]
+    if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
+        raise ConfigError(f"scenario name {cfg.name!r} must be a plain file name")
     t0 = time.perf_counter()
-    trace = run_scenario(cfg, seed=seed)
+    trace = run_scenario(cfg, seed=args.seed)
     wall_s = time.perf_counter() - t0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
 
+def _is_seed(value) -> bool:
+    """A plant-noise seed: an integer >= 0 (booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass
 class ReferenceSpec:
     kind: str = "constant"
@@ -54,40 +59,33 @@ class ReferenceSpec:
     levels: list = field(default_factory=lambda: [20.0, 35.0, 50.0, 65.0])
     interval: float = 20.0
 
-    def validate(self):
-        try:  # stored as floats, so that the signal computes with numbers
-            for name in ("amplitude", "offset", "frequency", "period", "interval"):
-                setattr(self, name, float(getattr(self, name)))
-            self.levels = [float(level) for level in self.levels]
+    def signal(self):
+        """The reference r(t) as a function of t; checks the values first."""
+        try:
+            amplitude, offset, frequency, period, interval = map(float, (
+                self.amplitude, self.offset, self.frequency, self.period, self.interval))
+            levels = [float(level) for level in self.levels]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"reference values must be numbers: {exc}") from exc
-        if not all(map(math.isfinite, [self.amplitude, self.offset, self.frequency, *self.levels])):
+        if not all(map(math.isfinite, [amplitude, offset, frequency, *levels])):
             raise ConfigError(f"reference values must be finite, got {self}")
-        if self.kind == "square" and not 0.0 < self.period < math.inf:
-            raise ConfigError(f"square reference period must be positive, got {self.period}")
-        if self.kind == "staircase":
-            if not self.levels:
-                raise ConfigError("staircase reference needs at least one level")
-            if not 0.0 < self.interval < math.inf:
-                raise ConfigError(
-                    f"staircase reference interval must be positive, got {self.interval}"
-                )
-
-    def signal(self):
         if self.kind == "constant":
-            return lambda t: self.offset
+            return lambda t: offset
         if self.kind == "sine":
-            w = 2.0 * math.pi * self.frequency
-            return lambda t: self.offset + self.amplitude * math.sin(w * t)
+            w = 2.0 * math.pi * frequency
+            return lambda t: offset + amplitude * math.sin(w * t)
         if self.kind == "square":
-            half = self.period / 2.0
-            return lambda t: self.offset + (
-                self.amplitude if (t % self.period) < half else -self.amplitude
-            )
+            if not 0.0 < period < math.inf:
+                raise ConfigError(f"square reference period must be positive, got {period}")
+            half = period / 2.0
+            return lambda t: offset + (amplitude if (t % period) < half else -amplitude)
         if self.kind == "staircase":
-            levels = list(self.levels)
+            if not levels:
+                raise ConfigError("staircase reference needs at least one level")
+            if not 0.0 < interval < math.inf:
+                raise ConfigError(f"staircase reference interval must be positive, got {interval}")
             last = len(levels) - 1
-            return lambda t: levels[min(int(t // self.interval), last)]
+            return lambda t: levels[min(int(t // interval), last)]
         raise ConfigError(f"unknown reference kind {self.kind!r}")
 
 
@@ -134,16 +132,6 @@ class PlantSpec:
     saturation: list | None = None
     schedule: list = field(default_factory=list)
 
-    def validate(self, ts: float):
-        """Build the plant and apply every scheduled switch to it, so that a
-        bad parameter set fails here and not when its switch fires."""
-        try:
-            plant = self.build(ts)
-            for entry in plant.schedule:
-                plant._apply_switch(entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {self.kind} plant: {exc}") from exc
-
     def build(self, ts: float):
         if self.kind == "lti":
             return LtiPlant(
@@ -174,9 +162,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.evaluation_window is None:
             self.evaluation_window = [0.0, self.duration]
-        self.validate()
+        self.build()  # a bad scenario fails when it loads
 
-    def validate(self):
+    def build(self, seed: int | None = None):
+        """One run's parts: (seed, reference signal, reference model, plant
+        reset to the seed, estimator or None); seed None is the first trial
+        seed.  Every bad value raises ConfigError here, before any step."""
+        if not (isinstance(self.name, str) and self.name):
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
         if not 0.0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration}")
         if not 0.0 < self.ts < math.inf:
@@ -194,22 +187,28 @@ class ScenarioConfig:
             raise ConfigError("evaluation_window must lie inside [0, duration]")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.seeds is not None and not (isinstance(self.seeds, list) and all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds
-        )):
+        if self.seeds is not None and not (
+            isinstance(self.seeds, list) and all(map(_is_seed, self.seeds))
+        ):
             raise ConfigError(f"seeds must be null or a list of integers >= 0, got {self.seeds!r}")
+        seeds = self.trial_seeds()  # fewer seeds than trials fails here
+        seed = seeds[0] if seed is None else seed
+        if not _is_seed(seed):
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         if self.estimator.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
-        self.reference.validate()
+        reference = self.reference.signal()
         try:
-            self.gm.build(self.ts)
+            section = "gm"
+            gm = self.gm.build(self.ts)
+            section = "estimator"
+            estimator = self.estimator.build()
+            section = f"{self.plant.kind} plant"
+            plant = self.plant.build(self.ts)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gm: {exc}") from exc
-        try:
-            self.estimator.build()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad estimator: {exc}") from exc
-        self.plant.validate(self.ts)
+            raise ConfigError(f"bad {section}: {exc}") from exc
+        plant.reset(seed=seed)
+        return seed, reference, gm, plant, estimator
 
     def trial_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -313,17 +312,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
     regressor and estimator (the next step uses the updated gains), then
     advance the plant to produce y(k+1).
     """
-    cfg.validate()
-    if seed is None:
-        seed = cfg.trial_seeds()[0]
+    seed, reference, gm, plant, estimator = cfg.build(seed)
     n_steps = int(round(cfg.duration / cfg.ts))
     ts = cfg.ts
-
-    gm = cfg.gm.build(ts)
-    reference = cfg.reference.signal()
-    plant = cfg.plant.build(ts)
-    plant.reset(seed=seed)
-    estimator = cfg.estimator.build()
     controller = PidController(cfg.estimator.theta0, ts)
     regressor = RegressorGenerator(gm.filter, ts)
 

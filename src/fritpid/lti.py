@@ -60,10 +60,6 @@ class RationalFilter:
             self._b0, self._b1 = self._b
             self._a1 = self._a[1]
 
-    @classmethod
-    def identity(cls) -> "RationalFilter":
-        return cls([1.0], [1.0])
-
     @property
     def order(self) -> int:
         return max(len(self.num), len(self.den)) - 1

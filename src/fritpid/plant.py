@@ -116,6 +116,9 @@ class _PlantBase:
         self.saturation = saturation_bounds(saturation)
         self.schedule = _validate_schedule(schedule, self.SCHEDULE_KEYS)
         self.reset()
+        for entry in self.schedule:  # a bad switch fails here, not when it fires
+            self._apply_switch(entry)
+        self.reset()
 
     def reset(self, seed: int = 0) -> None:
         """Restart from the initial state, schedule re-armed and noise reseeded."""

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import matched_loop_data
+from fritpid import harness
 from fritpid.cli import main
+from fritpid.controller import PidController
 from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
@@ -144,6 +146,11 @@ class TestRun:
             pytest.param("reference", {"kind": "constant", "offset": "x"}, id="constant-string-offset"),
             pytest.param("estimator", {"mu": None}, id="estimator-mu-null"),
             pytest.param("estimator", {"r0": None}, id="estimator-r0-null"),
+            # checks that used to run only when a run started
+            pytest.param("reference", {"kind": "ramp"}, id="reference-unknown-kind"),
+            pytest.param(None, {"trials": 3, "seeds": [0]}, id="fewer-seeds-than-trials"),
+            pytest.param(None, {"name": None}, id="name-null"),
+            pytest.param(None, {"name": ""}, id="name-empty"),
         ],
     )
     def test_invalid_scenario_exits_2(self, tmp_path, section, edit):
@@ -154,6 +161,28 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/run", ".", ".."])
+    def test_name_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, name):
+        raw = json.loads(Path("scenarios/matched_lti.json").read_text())
+        raw["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out" / "run"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert "plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
+
+    @pytest.mark.parametrize("scenario", ["matched_lti", "load_change"])
+    def test_negative_seed_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch, scenario):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(PidController, "step", no_step)
+        path = f"scenarios/{scenario}.json"
+        assert main(["run", path, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
@@ -278,3 +307,22 @@ class TestSweepAndCompare:
         code = main(["compare", str(short_scenario.parent)])
         assert code == 0
         assert "mae_median" in capsys.readouterr().out
+
+    def test_compare_directory_checks_every_file_before_running(
+        self, tmp_path, short_scenario, monkeypatch
+    ):
+        # a.json is good and sorts first; b.json fails to load, so nothing runs
+        short_scenario.rename(tmp_path / "a.json")
+        raw = json.loads((tmp_path / "a.json").read_text())
+        raw["reference"]["kind"] = "ramp"
+        (tmp_path / "b.json").write_text(json.dumps(raw))
+        calls = []
+        run = harness.run_scenario
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_scenario", counted)
+        assert main(["compare", str(tmp_path)]) == 2
+        assert calls == []

@@ -114,7 +114,7 @@ class TestCombinedFilter:
 def _reference_basis(ts):
     """beta(z) as the three `RationalFilter` objects PidBasis writes out."""
     return [
-        RationalFilter.identity(),
+        RationalFilter([1.0], [1.0]),
         RationalFilter([ts], [1.0, -1.0]),
         RationalFilter([1.0 / ts, -1.0 / ts], [1.0]),
     ]

@@ -11,6 +11,10 @@ from fritpid.harness import (
     TRACE_BLOCK,
     TRACE_COLUMNS,
     ConfigError,
+    EstimatorSpec,
+    GmSpec,
+    PlantSpec,
+    ReferenceSpec,
     RunTrace,
     ScenarioConfig,
     compare_methods,
@@ -132,6 +136,28 @@ class TestRunScenario:
             assert len(short) == n
             for c in TRACE_COLUMNS:
                 assert np.array_equal(short[c], long[c][:n], equal_nan=True), (n, c)
+
+    def test_each_part_is_built_once_per_run(self, monkeypatch):
+        cfg = identity_plant_config()
+        calls = []
+        for spec, method in ((ReferenceSpec, "signal"), (GmSpec, "build"),
+                             (EstimatorSpec, "build"), (PlantSpec, "build")):
+            def counted(self, *args, _original=getattr(spec, method), _name=spec.__name__):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(spec, method, counted)
+        run_scenario(cfg, seed=0)
+        assert sorted(calls) == ["EstimatorSpec", "GmSpec", "PlantSpec", "ReferenceSpec"]
+
+    def test_seed_defaults_to_the_first_trial_seed(self):
+        cfg = replace(identity_plant_config(), seeds=[7, 8])
+        assert run_scenario(cfg).seed == 7
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_bad_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            run_scenario(identity_plant_config(), seed=seed)
 
     def test_all_methods_on_identity_plant(self):
         rows = compare_methods(method_variants(identity_plant_config()))

@@ -58,7 +58,7 @@ class TestStepResponses:
         assert f.filter([0.0] * 50) == [0.0] * 50
 
     def test_identity(self):
-        f = RationalFilter.identity()
+        f = RationalFilter([1.0], [1.0])
         assert f.filter([1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
 
     def test_differencer_on_constant(self):
@@ -119,7 +119,7 @@ class TestAlgebra:
             assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
     def test_one_minus_identity_is_zero(self):
-        z = one_minus(RationalFilter.identity())
+        z = one_minus(RationalFilter([1.0], [1.0]))
         assert z.filter([1.0, -2.0, 3.0]) == [0.0, 0.0, 0.0]
 
     def test_one_minus_zero_is_identity(self):

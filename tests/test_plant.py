@@ -22,12 +22,12 @@ def run_plant(plant, u, seed=0, ts=TS):
 
 class TestLtiPlant:
     def test_identity_passthrough(self):
-        p = LtiPlant(RationalFilter.identity())
+        p = LtiPlant(RationalFilter([1.0], [1.0]))
         u = np.linspace(-1, 1, 50)
         assert run_plant(p, u) == pytest.approx(u, abs=0)
 
     def test_noise_is_seed_deterministic(self):
-        p = LtiPlant(RationalFilter.identity(), noise_std=0.2)
+        p = LtiPlant(RationalFilter([1.0], [1.0]), noise_std=0.2)
         u = np.ones(100)
         a = run_plant(p, u, seed=5)
         b = run_plant(p, u, seed=5)
@@ -36,7 +36,7 @@ class TestLtiPlant:
         assert not np.array_equal(a, c)
 
     def test_saturation_clamps_input(self):
-        p = LtiPlant(RationalFilter.identity(), saturation=(-1.0, 1.0))
+        p = LtiPlant(RationalFilter([1.0], [1.0]), saturation=(-1.0, 1.0))
         y = run_plant(p, np.array([0.5, 3.0, -4.0]))
         assert y == pytest.approx([0.5, 1.0, -1.0])
 
@@ -45,7 +45,7 @@ class TestLtiPlant:
     ])
     def test_saturation_needs_two_increasing_bounds(self, saturation):
         with pytest.raises(ValueError):
-            LtiPlant(RationalFilter.identity(), saturation=saturation)
+            LtiPlant(RationalFilter([1.0], [1.0]), saturation=saturation)
 
     def test_gain_doubling_schedule(self):
         f = RationalFilter([0.0, 0.1], [1.0, -0.9])  # DC gain 1
@@ -56,7 +56,7 @@ class TestLtiPlant:
         assert y[-1] == pytest.approx(2.0, abs=1e-3)
 
     def test_time_must_not_decrease(self):
-        p = LtiPlant(RationalFilter.identity())
+        p = LtiPlant(RationalFilter([1.0], [1.0]))
         p.reset(seed=0)
         p.step(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -65,8 +65,16 @@ class TestLtiPlant:
     def test_schedule_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             LtiPlant(
-                RationalFilter.identity(),
+                RationalFilter([1.0], [1.0]),
                 schedule=[{"time": 2.0}, {"time": 2.0}],
+            )
+
+    def test_order_changing_switch_fails_in_the_constructor(self):
+        # every switch is applied once when the plant is built, not only when it fires
+        with pytest.raises(ValueError, match="order"):
+            LtiPlant(
+                RationalFilter([0.0, 0.0095], [1.0, -0.99]),
+                schedule=[{"time": 40.0, "num": [0.0, 0.01, 0.0], "den": [1.0, -0.99, 0.1]}],
             )
 
 
@@ -200,6 +208,17 @@ class TestBoucWenPlant:
         assert p.params == params and p.params.gain == 5.0
         assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
+    def test_bad_switch_fails_in_the_constructor(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            BoucWenPlant(BoucWenParams(), ts=TS, schedule=[{"time": 50.0, "tau_scale": -1}])
+
+    def test_constructor_leaves_the_initial_params(self):
+        # the constructor's trial run of the schedule is undone before step 0
+        p = BoucWenPlant(BoucWenParams(), ts=TS, schedule=[
+            {"time": 1.0, "gain_scale": 0.5}, {"time": 2.0, "tau_scale": 2.0}])
+        assert p.params == BoucWenParams()
+        assert p.step(1.0, 0.0) == BoucWenPlant(BoucWenParams(), ts=TS).step(1.0, 0.0)
+
     def test_schedule_absolute_override(self):
         p = BoucWenPlant(
             BoucWenParams(), ts=TS, schedule=[{"time": 1.0, "gain": 5.0}]
@@ -223,7 +242,7 @@ class TestNoise:
     def test_block_draws_equal_scalar_draws(self):
         n = 40 * NOISE_BLOCK + 123  # across 40 block boundaries
         u = np.linspace(-1.0, 1.0, n).tolist()
-        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        p = LtiPlant(RationalFilter([1.0], [1.0]), noise_std=0.3)
         ours = run_plant(p, u, seed=3)
         ref = self.per_step_reference(3, u, 0.3)
         assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
@@ -231,14 +250,14 @@ class TestNoise:
     def test_a_fresh_plant_draws_the_seed_0_stream(self):
         # the generator is made at the first draw, not when the plant is built
         u = [0.5] * (NOISE_BLOCK + 3)
-        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        p = LtiPlant(RationalFilter([1.0], [1.0]), noise_std=0.3)
         ours = np.array([p.step(uk, k * TS) for k, uk in enumerate(u)])
         ref = self.per_step_reference(0, u, 0.3)
         assert np.array_equal(ours.view(np.uint64), np.array(ref).view(np.uint64))
 
     def test_reset_mid_block_restarts_the_stream(self):
         u = [0.5] * (2 * NOISE_BLOCK + 7)
-        p = LtiPlant(RationalFilter.identity(), noise_std=0.3)
+        p = LtiPlant(RationalFilter([1.0], [1.0]), noise_std=0.3)
         p.reset(seed=11)
         for k in range(NOISE_BLOCK + 17):  # stop inside the second block
             p.step(0.5, k * TS)
