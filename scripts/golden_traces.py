@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import platform
 import re
 import sys
@@ -100,7 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"regenerate {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args(argv)
-    logging.getLogger("fritpid").setLevel(logging.ERROR)  # per-run gain warnings
     digests = compute()
     if args.write:
         GOLDEN.write_text(json.dumps(

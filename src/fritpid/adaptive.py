@@ -30,7 +30,7 @@ array snapshots the estimator hands out.
 
 from __future__ import annotations
 
-from math import acos, cos, inf, isfinite, pi, sqrt
+from math import acos, cos, inf, isfinite, nan, pi, sqrt
 
 import numpy as np
 
@@ -156,11 +156,11 @@ class Estimator:
 
     ``mode`` picks the R-update rule (noforget | ef | df | er, see the module
     docstring); the sample check, the residual, the gain step and the
-    diagnostics are shared.  R(0) = r0 (a positive scalar times I, or an SPD
-    3x3 matrix) and P(0) = R(0)^-1 in every mode.  ``noforget`` forces
+    diagnostics are shared.  R(0) = r0*I for a positive scalar r0 and
+    P(0) = R(0)^-1 in every mode.  ``noforget`` forces
     mu = 1.  Only ``df`` applies the deadzone ``epsilon``: a sample with
     ||phi|| <= epsilon is skipped and theta, P and R are left bit-identical.
-    Only ``er`` uses the floor ``r_inf``, which R(0) must dominate.
+    Only ``er`` uses the floor ``r_inf*I``, which needs r0 >= r_inf.
 
     ``theta``, ``P``, ``R`` and ``R_inf`` are numpy snapshots: a fresh array
     on every read, so writing into one does not change the estimator.
@@ -184,10 +184,8 @@ class Estimator:
         self._theta = tuple(as_gains(theta0).tolist())
         self._R = _as_init_matrix(r0, "r0")
         self._R_inf = _as_init_matrix(r_inf, "r_inf")
-        if mode == "er":
-            gap_min, _ = _eigen_bounds(*(a - b for a, b in zip(self._R, self._R_inf)))
-            if gap_min < -1e-12:
-                raise ValueError("r0 must dominate r_inf (r0 - r_inf is not PSD)")
+        if mode == "er" and self._R[0] - self._R_inf[0] < -1e-12:
+            raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
         self._P = _inverse(self._R)
         self.deadzone_active = False
 
@@ -318,7 +316,7 @@ class Estimator:
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:
     """Plain RLS (mu = 1) or exponential forgetting (mu < 1) from P(0) = p0."""
-    r0 = _sym_matrix(_inverse(_as_init_matrix(p0, "p0")))
+    r0 = 1.0 / _as_init_matrix(p0, "p0")[0]
     return Estimator("noforget" if mu == 1.0 else "ef", theta0, mu=mu, r0=r0)
 
 
@@ -334,19 +332,8 @@ def ExponentialResettingRls(theta0, r0=0.01, r_inf=0.01, mu: float = 0.99) -> Es
 
 
 def _as_init_matrix(value, field: str) -> tuple[float, ...]:
-    """Scalar -> scaled identity; matrix -> validated SPD unique entries."""
-    if np.ndim(value) == 0:
-        v = float(value)
-        if not 0.0 < v < inf:
-            raise ValueError(f"{field} must be a positive finite scalar, got {v}")
-        return (v, 0.0, 0.0, v, 0.0, v)
-    M = np.asarray(value, dtype=float)
-    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-        raise ValueError(f"{field} must be a finite 3x3 matrix or a positive scalar")
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError(f"{field} must be symmetric")
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = ((M + M.T) / 2.0).tolist()
-    m = (a00, a01, a02, a11, a12, a22)
-    if not _is_spd(m):
-        raise ValueError(f"{field} must be positive definite")
-    return m
+    """The unique entries of value*I for a positive finite scalar value."""
+    v = float(value) if np.ndim(value) == 0 else nan
+    if not 0.0 < v < inf:
+        raise ValueError(f"{field} must be a positive finite scalar, got {value!r}")
+    return (v, 0.0, 0.0, v, 0.0, v)

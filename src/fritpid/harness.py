@@ -7,24 +7,23 @@ per-step trace plus MAE / maxAE summary metrics.  Runs are reproducible:
 the same config and seed give a byte-identical trace file.
 """
 
-from __future__ import annotations
+# no `from __future__ import annotations`: `_load` reads the annotations of
+# the spec dataclasses as types
 
 import json
-import logging
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import UnionType
 
 import numpy as np
 
 from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
-from .controller import PidController
+from .controller import PidController, as_gains
 from .csvio import INTEGER, read_columns, write_columns
 from .lti import RationalFilter, ReferenceModel
 from .plant import BoucWenParams, BoucWenPlant, LtiPlant
-
-log = logging.getLogger(__name__)
 
 TRACE_COLUMNS = [
     "k", "t", "r", "y", "u", "e", "ehat",
@@ -39,14 +38,45 @@ MAX_STEPS = 10_000_000
 
 TRACE_BLOCK = 64  # steps per block of trace rows copied into the float64 buffer
 
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string", list: "a list",
+               dict: "a JSON object"}
+
 
 class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
 
-def _is_seed(value) -> bool:
-    """A plant-noise seed: an integer >= 0 (booleans excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _load(tp, value, where: str = ""):
+    """`value`, from JSON, checked against the annotation `tp`: the scenario schema.
+
+    A spec dataclass is built from an object with no unknown keys; a float
+    takes a JSON integer too and becomes a float; a bool is never a number.
+    A mismatch is a ConfigError that names the field by its path `where`.
+    """
+    if isinstance(tp, UnionType):  # the arm of the value's JSON type, else the first
+        arms = tp.__args__
+        arm = next((a for a in arms if isinstance(value, getattr(a, "__origin__", a))), arms[0])
+        return _load(arm, value, where)
+    fields = getattr(tp, "__dataclass_fields__", None)  # of a spec dataclass
+    kind = dict if fields else getattr(tp, "__origin__", tp)  # or NoneType, for a `| None` arm
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where or 'a scenario'} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if fields:
+        unknown = value.keys() - fields.keys()
+        if unknown:
+            raise ConfigError(f"unknown {where or 'scenario'} fields {sorted(unknown)}")
+        prefix = f"{where}." if where else ""
+        return tp(**{key: _load(fields[key].type, v, prefix + key) for key, v in value.items()})
+    if kind is list:
+        return [_load(tp.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is dict:  # JSON object keys are strings
+        return {key: _load(tp.__args__[1], v, f"{where}.{key}") for key, v in value.items()}
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is an integer too large for a float") from None
+    return value
 
 
 @dataclass
@@ -56,17 +86,14 @@ class ReferenceSpec:
     offset: float = 0.0
     frequency: float = 0.1
     period: float = 40.0
-    levels: list = field(default_factory=lambda: [20.0, 35.0, 50.0, 65.0])
+    levels: list[float] = field(default_factory=lambda: [20.0, 35.0, 50.0, 65.0])
     interval: float = 20.0
 
     def signal(self):
         """The reference r(t) as a function of t; checks the values first."""
-        try:
-            amplitude, offset, frequency, period, interval = map(float, (
-                self.amplitude, self.offset, self.frequency, self.period, self.interval))
-            levels = [float(level) for level in self.levels]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"reference values must be numbers: {exc}") from exc
+        amplitude, offset, frequency, period, interval = (
+            self.amplitude, self.offset, self.frequency, self.period, self.interval)
+        levels = list(self.levels)
         if not all(map(math.isfinite, [amplitude, offset, frequency, *levels])):
             raise ConfigError(f"reference values must be finite, got {self}")
         if self.kind == "constant":
@@ -94,8 +121,8 @@ class GmSpec:
     tau: float = 1.0
     dc_gain: float = 1.0
     discretization: str = "euler"
-    num: list | None = None
-    den: list | None = None
+    num: list[float] | None = None
+    den: list[float] | None = None
 
     def build(self, ts: float) -> ReferenceModel:
         if self.num is not None or self.den is not None:
@@ -114,10 +141,11 @@ class EstimatorSpec:
     epsilon: float = 1e-3
     r0: float = 0.01
     r_inf: float = 0.01
-    theta0: list = field(default_factory=lambda: [0.1, 0.1, 0.01])
+    theta0: list[float] = field(default_factory=lambda: [0.1, 0.1, 0.01])
 
     def build(self):
         if self.mode == "fixed":
+            as_gains(self.theta0)  # the gains the whole run keeps
             return None
         return Estimator(**asdict(self))  # the fields are Estimator's parameters
 
@@ -125,12 +153,12 @@ class EstimatorSpec:
 @dataclass
 class PlantSpec:
     kind: str = "lti"
-    num: list = field(default_factory=lambda: [0.0, 0.0095])
-    den: list = field(default_factory=lambda: [1.0, -0.99])
-    params: dict = field(default_factory=dict)
+    num: list[float] = field(default_factory=lambda: [0.0, 0.0095])
+    den: list[float] = field(default_factory=lambda: [1.0, -0.99])
+    params: dict[str, float] = field(default_factory=dict)
     noise_std: float = 0.0
-    saturation: list | None = None
-    schedule: list = field(default_factory=list)
+    saturation: list[float] | None = None
+    schedule: list[dict[str, float | list[float]]] = field(default_factory=list)
 
     def build(self, ts: float):
         if self.kind == "lti":
@@ -156,8 +184,8 @@ class ScenarioConfig:
     estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     plant: PlantSpec = field(default_factory=PlantSpec)
     trials: int = 1
-    seeds: list | None = None
-    evaluation_window: list | None = None  # None: [0, duration]
+    seeds: list[int] | None = None
+    evaluation_window: list[float] | None = None  # None: [0, duration]
 
     def __post_init__(self):
         if self.evaluation_window is None:
@@ -168,8 +196,8 @@ class ScenarioConfig:
         """One run's parts: (seed, reference signal, reference model, plant
         reset to the seed, estimator or None); seed None is the first trial
         seed.  Every bad value raises ConfigError here, before any step."""
-        if not (isinstance(self.name, str) and self.name):
-            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
+        if not self.name:
+            raise ConfigError("name must not be empty")
         if not 0.0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration}")
         if not 0.0 < self.ts < math.inf:
@@ -187,13 +215,11 @@ class ScenarioConfig:
             raise ConfigError("evaluation_window must lie inside [0, duration]")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.seeds is not None and not (
-            isinstance(self.seeds, list) and all(map(_is_seed, self.seeds))
-        ):
-            raise ConfigError(f"seeds must be null or a list of integers >= 0, got {self.seeds!r}")
+        if self.seeds is not None and any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be integers >= 0, got {self.seeds}")
         seeds = self.trial_seeds()  # fewer seeds than trials fails here
         seed = seeds[0] if seed is None else seed
-        if not _is_seed(seed):
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         if self.estimator.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
@@ -219,23 +245,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"a scenario is a JSON object, got {type(raw).__name__}")
-        unknown = raw.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
-        kwargs = dict(raw)  # the keys not named below pass as they are
-        try:
-            for key, spec in (("reference", ReferenceSpec), ("gm", GmSpec),
-                              ("estimator", EstimatorSpec), ("plant", PlantSpec)):
-                if key in raw:
-                    kwargs[key] = spec(**raw[key])
-            for key, number in (("duration", float), ("ts", float), ("trials", int)):
-                if key in raw:
-                    kwargs[key] = number(raw[key])
-            return cls(**kwargs)
-        except (TypeError, OverflowError) as exc:
-            raise ConfigError(f"bad scenario field: {exc}") from exc
+        """The scenario of a JSON object, typed by the field annotations."""
+        return _load(cls, raw)
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -323,7 +334,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
     kp, ki, kd = controller.gains
     pmin = pmax = math.nan
     deadzone = False
-    warned_negative = False
     y = 0.0
     control, regress, advance = controller.step, regressor.step, plant.step
     if estimator is not None:
@@ -346,12 +356,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
                 controller.gains = (kp, ki, kd) = estimator.gains
                 pmin, pmax = eigenvalues()
                 deadzone = estimator.deadzone_active
-                if not warned_negative and (kp < 0.0 or ki < 0.0 or kd < 0.0):
-                    log.warning(
-                        "%s: gains left the positive orthant at t=%.2fs: [%.4g, %.4g, %.4g]",
-                        cfg.name, t, kp, ki, kd,
-                    )
-                    warned_negative = True
             rows += (k, t, r, y, u, e, ehat, kp, ki, kd, pmin, pmax, deadzone)
             y = advance(u, t)
         # struct converts a list of Python numbers to doubles ~2x faster than numpy

@@ -162,6 +162,23 @@ class TestRun:
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("path", [
+        ("duration",), ("estimator", "mu"), ("reference", "offset"), ("plant", "params", "gain"),
+    ], ids=["duration", "mu", "offset", "bouc-wen-gain"])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, path):
+        raw = json.loads(Path("scenarios/load_change.json").read_text())  # a Bouc-Wen plant
+        *head, key = path
+        node = raw
+        for k in head:
+            node = node.setdefault(k, {})
+        node[key] = 10**400
+        with pytest.raises(ConfigError, match=f"{key} is an integer too large for a float"):
+            ScenarioConfig.from_dict(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/run", ".", ".."])
     def test_name_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, name):
         raw = json.loads(Path("scenarios/matched_lti.json").read_text())

@@ -4,7 +4,10 @@ Every input exits 0 (success), 2 (configuration error) or 3 (numerical
 breakdown); no exception escapes `cli.main`.  The inputs are the bundled
 scenarios with one to three of their nodes mutated: a type swap, NaN or an
 infinity, a negation or zero, an empty list, a deletion, or an unknown key
-next to it.  Each run is capped at CAP_S seconds of simulated time.
+next to it.  A mutant that breaks the schema's types where the oracle can
+tell for sure (a bool or a numeric string in place of a number, a string in
+place of a list) must exit 2.  Each run is capped at CAP_S seconds of
+simulated time.
 """
 
 import copy
@@ -51,6 +54,7 @@ def negated(v):
 
 MUTATIONS = {
     "string": lambda v: "x",
+    "json text": json.dumps,
     "null": lambda v: None,
     "bool": lambda v: True,
     "list": lambda v: [v],
@@ -77,19 +81,41 @@ def mutate(raw: dict, path: tuple, how: str) -> None:
         parent[key] = MUTATIONS[how](parent[key])
 
 
-def cap_duration(raw: dict) -> None:
-    """A duration that still gives a valid run longer than CAP_S becomes CAP_S."""
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_number_text(value) -> bool:
     try:
-        duration = float(raw.get("duration", ScenarioConfig.duration))
+        float(value)
     except (TypeError, ValueError):
-        return
-    if CAP_S < duration < math.inf:
+        return False
+    return isinstance(value, str)
+
+
+def cap_duration(raw: dict) -> None:
+    """A number duration that still gives a valid run longer than CAP_S becomes CAP_S."""
+    duration = raw.get("duration", ScenarioConfig.duration)
+    if is_number(duration) and CAP_S < duration < math.inf:
         raw["duration"] = CAP_S
+
+
+def mistyped(base, raw) -> bool:
+    """Does `raw` hold a bool or a numeric string where `base` holds a number,
+    or a string where `base` holds a list?"""
+    if isinstance(base, dict) and isinstance(raw, dict):
+        return any(mistyped(base[key], raw[key]) for key in base.keys() & raw.keys())
+    if isinstance(base, list):
+        if isinstance(raw, list):
+            return any(map(mistyped, base, raw))
+        return isinstance(raw, str)
+    return is_number(base) and (isinstance(raw, bool) or is_number_text(raw))
 
 
 @st.composite
 def mutants(draw):
-    raw = copy.deepcopy(draw(st.sampled_from(BASES)))
+    base = draw(st.sampled_from(BASES))
+    raw = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(nodes(raw))
         if not paths:
@@ -97,14 +123,16 @@ def mutants(draw):
         how = draw(st.sampled_from([*MUTATIONS, "delete", "unknown key"]))
         mutate(raw, draw(st.sampled_from(paths)), how)
     cap_duration(raw)
-    return raw
+    return base, raw
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
-@given(raw=mutants())
-def test_run_exits_0_2_or_3(tmp_path_factory, raw):
+@given(mutant=mutants())
+def test_run_exits_0_2_or_3(tmp_path_factory, mutant):
+    base, raw = mutant
     root = tmp_path_factory.getbasetemp() / "exit_contract"
     root.mkdir(exist_ok=True)
     path = root / "mutant.json"
     path.write_text(json.dumps(raw))
-    assert main(["run", str(path), "--out", str(root / "out")]) in (0, 2, 3)
+    code = main(["run", str(path), "--out", str(root / "out")])
+    assert code in ((2,) if mistyped(base, raw) else (0, 2, 3))

@@ -1,7 +1,11 @@
+import copy
 import csv
+import importlib.util
 import json
-import logging
+import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ from fritpid.harness import (
 from fritpid.lti import ReferenceModel
 
 TS = 0.01
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = sorted((ROOT / "scenarios").glob("*.json")) + [
+    ROOT / "perfbench" / "prior_experiment.json"
+]
 
 
 def identity_plant_config(mode="df", **estimator_overrides):
@@ -110,6 +118,104 @@ class TestConfig:
             {"reference": {"kind": "staircase", "levels": [1.0, 2.0, 3.0], "interval": 5.0}}
         ).reference.signal()
         assert [sig(t) for t in (0.0, 4.9, 5.0, 12.0, 99.0)] == [1, 1, 2, 3, 3]
+
+
+def leaf_paths(value, path=()):
+    """Path of every leaf (a value that is neither a list nor an object)."""
+    if not isinstance(value, (dict, list)):
+        yield path
+        return
+    for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+        yield from leaf_paths(child, path + (key,))
+
+
+def swap_leaf(raw, path, swap):
+    *head, key = path
+    for k in head:
+        raw = raw[k]
+    raw[key] = swap(raw[key])
+
+
+def integral_floats_as_ints(value):
+    """`value` with every float that is a whole number written as an int."""
+    if isinstance(value, dict):
+        return {k: integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [integral_floats_as_ints(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+class TestSchema:
+    """The field annotations are the scenario schema; see `harness._load`."""
+
+    SWAPS = {"true": lambda v: True, "json text": json.dumps, "list": lambda v: [v]}
+
+    def test_every_type_swapped_leaf_is_rejected(self):
+        loaded, total = [], 0
+        for path in BUNDLED:
+            base = json.loads(path.read_text())
+            for leaf in leaf_paths(base):
+                for how, swap in self.SWAPS.items():
+                    raw = copy.deepcopy(base)
+                    swap_leaf(raw, leaf, swap)
+                    total += 1
+                    try:
+                        ScenarioConfig.from_dict(raw)
+                    except ConfigError:
+                        continue
+                    loaded.append((path.stem, leaf, how))
+        assert total == 348
+        # a quoted name is still a non-empty string
+        assert loaded == [(p.stem, ("name",), "json text") for p in BUNDLED]
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"trials": 10.0}, "trials must be an integer, got 10.0"),
+        ({"trials": "10"}, "trials must be an integer, got '10'"),
+        ({"estimator": {"mu": True}}, "estimator.mu must be a number, got True"),
+        ({"estimator": {"theta0": [0.1, "0.1", 0.0]}}, r"estimator.theta0\[1\] must be a number"),
+        ({"reference": {"kind": "staircase", "levels": "12"}}, "reference.levels must be a list"),
+        ({"plant": {"num": "12"}}, "plant.num must be a list"),
+        ({"plant": {"kind": "bouc_wen", "params": {"tau": "0.4"}}},
+         "plant.params.tau must be a number"),
+        ({"plant": {"schedule": [{"time": True}]}}, r"plant.schedule\[0\].time must be a number"),
+        ({"seeds": [0, False]}, r"seeds\[1\] must be an integer"),
+        ({"gm": []}, "gm must be a JSON object"),
+        ({"gm": {"pole": 0.99}}, r"unknown gm fields \['pole'\]"),
+    ], ids=["trials-float", "trials-string", "mu-bool", "theta0-string-entry", "levels-string",
+            "lti-num-string", "params-string", "schedule-time-bool", "seeds-bool-entry",
+            "gm-list", "gm-unknown-key"])
+    def test_a_mistyped_field_is_named(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("theta0", [[math.nan, 0.1, 0.1], [0.1, 0.1]])
+    def test_fixed_mode_gains_are_checked_at_load(self, theta0):
+        with pytest.raises(ConfigError, match="bad estimator"):
+            ScenarioConfig.from_dict({"estimator": {"mode": "fixed", "theta0": theta0}})
+
+    def test_integers_in_float_fields_give_the_golden_trace(self):
+        spec = importlib.util.spec_from_file_location(
+            "golden_traces", ROOT / "scripts" / "golden_traces.py")
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        runs = golden.load()["runs"]
+        for path in BUNDLED:
+            raw = json.loads(path.read_text())
+            as_ints = integral_floats_as_ints(raw)
+            assert json.dumps(as_ints) != json.dumps(raw)
+            cfg = ScenarioConfig.from_dict(as_ints)
+            assert repr(cfg) == repr(ScenarioConfig.from_dict(raw))  # 80 loads as 80.0
+            digest = runs[f"{path.stem}/{cfg.estimator.mode}/seed0"]
+            assert golden.run_digest(cfg, 0) == digest, path.stem
+
+    def test_readme_example_loads(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1]
+        example = section.split("```jsonc", 1)[1].split("```", 1)[0]
+        cfg = ScenarioConfig.from_dict(json.loads(re.sub(r"//.*", "", example)))
+        assert cfg.name == "load_change" and cfg.plant.schedule
 
 
 class TestRunScenario:
@@ -240,14 +346,6 @@ class TestRunScenario:
         cfg.evaluation_window = [0.0, 60.0]
         with pytest.raises(NumericalBreakdownError, match=r"step \d+ \(t="):
             run_scenario(cfg, seed=0)
-
-    def test_negative_gain_warning_logged(self, caplog):
-        cfg = ScenarioConfig.from_json("scenarios/load_change.json")
-        cfg.duration = 2.0
-        cfg.evaluation_window = [0.0, 2.0]
-        with caplog.at_level(logging.WARNING, logger="fritpid.harness"):
-            run_scenario(cfg, seed=0)
-        assert any("positive orthant" in rec.message for rec in caplog.records)
 
 
 def reference_trace_csv(trace, path):
