@@ -478,6 +478,16 @@ class TestFactory:
         with pytest.raises(ValueError, match="r0 must be a positive finite scalar"):
             Estimator("df", [0.0, 0.0, 0.0], r0=np.eye(3).tolist())
 
+    @pytest.mark.parametrize(
+        "r0",
+        [[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]],
+    )
+    def test_non_positive_definite_r0_rejected(self, r0):
+        with pytest.raises(ValueError, match="r0 must be a positive finite scalar"):
+            Estimator("df", [0.0, 0.0, 0.0], r0=r0)
+
     def test_state_reads_are_snapshots(self):
         est = Estimator("df", [0.1, 0.2, 0.3])
         for name in ("theta", "P", "R", "R_inf"):
