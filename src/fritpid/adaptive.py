@@ -16,7 +16,8 @@ rules for R:
   rank-one slice of R along the current regressor, so directions the data
   stops exciting are never forgotten (no estimator windup);
 * ``er``: R <- mu*R + (1-mu)*R_inf + phi*phi^T, exponential resetting
-  (Salgado, Goodwin & Middleton 1988), which pulls R toward an SPD floor.
+  (Salgado, Goodwin & Middleton 1988), which pulls R toward the floor
+  R_inf = r_inf*I.
 
 Each rule keeps P and R an exact inverse pair: noforget/ef and df update P
 by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.  The
@@ -54,16 +55,10 @@ class RegressorGenerator:
     """Streaming construction of (phi, d) from one I/O sample per step."""
 
     def __init__(self, gm: RationalFilter, ts: float):
-        self.ts = float(ts)
         self._gm_complement = one_minus(gm)
         self._gm_on_u = gm.copy()
         self._gm_on_u.reset()
         self._basis = PidBasis(ts)
-
-    def reset(self) -> None:
-        self._gm_complement.reset()
-        self._gm_on_u.reset()
-        self._basis.reset()
 
     def step(self, y: float, u: float) -> tuple[tuple[float, float, float], float]:
         """Advance all internal filters one sample; returns (phi, d)."""
@@ -181,11 +176,12 @@ class Estimator:
         self._rule = self._RULES[mode]
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
-        self._theta = tuple(as_gains(theta0).tolist())
-        self._R = _as_init_matrix(r0, "r0")
-        self._R_inf = _as_init_matrix(r_inf, "r_inf")
-        if mode == "er" and self._R[0] - self._R_inf[0] < -1e-12:
+        self._theta = as_gains(theta0)
+        r0 = _positive_scalar(r0, "r0")
+        self._r_inf = _positive_scalar(r_inf, "r_inf")
+        if mode == "er" and r0 - self._r_inf < -1e-12:
             raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
+        self._R = (r0, 0.0, 0.0, r0, 0.0, r0)
         self._P = _inverse(self._R)
         self.deadzone_active = False
 
@@ -211,8 +207,8 @@ class Estimator:
 
     @property
     def R_inf(self) -> np.ndarray:
-        """The resetting floor of ``er``."""
-        return _sym_matrix(self._R_inf)
+        """The resetting floor of ``er``, r_inf*I."""
+        return self._r_inf * np.eye(3)
 
     def update(self, phi, d) -> float:
         """Absorb one sample; returns the pre-update residual phi^T theta - d."""
@@ -299,13 +295,12 @@ class Estimator:
         return w0 / s, w1 / s, w2 / s
 
     def _er(self, f0, f1, f2):
-        mu, nu = self.mu, 1.0 - self.mu
+        mu = self.mu
+        floor = (1.0 - mu) * self._r_inf  # R_inf is r_inf*I: only the diagonal moves
         r00, r01, r02, r11, r12, r22 = self._R
-        i00, i01, i02, i11, i12, i22 = self._R_inf
         self._R = R = (
-            mu * r00 + nu * i00 + f0 * f0, mu * r01 + nu * i01 + f0 * f1,
-            mu * r02 + nu * i02 + f0 * f2, mu * r11 + nu * i11 + f1 * f1,
-            mu * r12 + nu * i12 + f1 * f2, mu * r22 + nu * i22 + f2 * f2,
+            mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
+            mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
         )
         self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
         return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
@@ -316,7 +311,7 @@ class Estimator:
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:
     """Plain RLS (mu = 1) or exponential forgetting (mu < 1) from P(0) = p0."""
-    r0 = 1.0 / _as_init_matrix(p0, "p0")[0]
+    r0 = 1.0 / _positive_scalar(p0, "p0")
     return Estimator("noforget" if mu == 1.0 else "ef", theta0, mu=mu, r0=r0)
 
 
@@ -331,9 +326,9 @@ def ExponentialResettingRls(theta0, r0=0.01, r_inf=0.01, mu: float = 0.99) -> Es
     return Estimator("er", theta0, mu=mu, r0=r0, r_inf=r_inf)
 
 
-def _as_init_matrix(value, field: str) -> tuple[float, ...]:
-    """The unique entries of value*I for a positive finite scalar value."""
+def _positive_scalar(value, field: str) -> float:
+    """value as a float, if it is a positive finite scalar."""
     v = float(value) if np.ndim(value) == 0 else nan
     if not 0.0 < v < inf:
         raise ValueError(f"{field} must be a positive finite scalar, got {value!r}")
-    return (v, 0.0, 0.0, v, 0.0, v)
+    return v

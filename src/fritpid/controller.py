@@ -11,30 +11,19 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .lti import RationalFilter
 
 
-def _gain_floats(theta) -> tuple[float, float, float]:
-    """Validate [kp, ki, kd]; returns three floats."""
+def as_gains(theta) -> tuple[float, float, float]:
+    """Validate a [kp, ki, kd] gain vector; returns it as three finite floats."""
     try:
         kp, ki, kd = theta
         kp, ki, kd = float(kp), float(ki), float(kd)
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 gains [kp, ki, kd], got {theta!r}") from None
-    # a float sum is finite only if every term is; a sum that overflows
-    # from finite terms is told apart by the per-term check
-    if not math.isfinite(kp + ki + kd) and not (
-        math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)
-    ):
-        raise ValueError("gains must be finite")
+    if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
+        raise ValueError(f"gains must be finite, got {[kp, ki, kd]}")
     return kp, ki, kd
-
-
-def as_gains(theta) -> np.ndarray:
-    """Validate and return a [kp, ki, kd] gain vector as a new float64 array."""
-    return np.array(_gain_floats(theta))
 
 
 class PidBasis:
@@ -66,27 +55,15 @@ class PidBasis:
 
 
 class PidController:
-    """Positional-form PID; gains are meant to be retuned on the fly."""
+    """Positional-form PID; ``gains`` is checked when built, then may be swapped every sample."""
 
     def __init__(self, gains, ts: float):
-        self._gains = _gain_floats(gains)
+        self.gains = as_gains(gains)
         self.basis = PidBasis(ts)
-
-    @property
-    def gains(self) -> tuple[float, float, float]:
-        """(kp, ki, kd) as floats."""
-        return self._gains
-
-    @gains.setter
-    def gains(self, theta) -> None:
-        self._gains = _gain_floats(theta)
-
-    def reset(self) -> None:
-        self.basis.reset()
 
     def step(self, e: float) -> float:
         """One control sample from one tracking-error sample."""
-        kp, ki, kd = self._gains
+        kp, ki, kd = self.gains
         x, integ, diff = self.basis.step(e)
         return kp * x + ki * integ + kd * diff
 

@@ -213,6 +213,11 @@ class ScenarioConfig:
         lo, hi = self.evaluation_window
         if not (0.0 <= lo < hi <= self.duration + 1e-9):
             raise ConfigError("evaluation_window must lie inside [0, duration]")
+        # some step time j*ts (j < n_steps) must lie in [lo, hi); rounding puts the
+        # first j*ts >= lo within one step of lo/ts
+        n_steps, k = round(self.duration / self.ts), math.ceil(lo / self.ts)
+        if not any(lo <= j * self.ts < hi for j in (k - 1, k, k + 1) if 0 <= j < n_steps):
+            raise ConfigError(f"evaluation_window {self.evaluation_window} holds no step time")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seeds is not None and any(s < 0 for s in self.seeds):
@@ -362,8 +367,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
         block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows))
         buf.T[start:k + 1] = block.reshape(-1, len(TRACE_COLUMNS))
 
+    columns = dict(zip(TRACE_COLUMNS, buf))
+    finite = np.isfinite(columns["y"]) & np.isfinite(columns["u"])
+    if not finite.all():  # a fixed-gain loop has no estimator to stop it
+        k = int(finite.argmin())
+        y, u = float(columns["y"][k]), float(columns["u"][k])
+        raise NumericalBreakdownError(f"step {k} (t={k * ts:.3f}s): diverged to y={y}, u={u}")
     window = (float(cfg.evaluation_window[0]), float(cfg.evaluation_window[1]))
-    return RunTrace(dict(zip(TRACE_COLUMNS, buf)), window, cfg.name, seed)
+    return RunTrace(columns, window, cfg.name, seed)
 
 
 def method_variants(base: ScenarioConfig, methods=ESTIMATOR_MODES) -> list[ScenarioConfig]:

@@ -201,6 +201,36 @@ class TestRun:
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario, edit", [
+        ("matched_lti", {"duration": 1.0, "ts": 0.3, "evaluation_window": [0.7, 1.0]}),
+        ("load_change", {"evaluation_window": [79.995, 80.0]}),  # the last step is t = 79.99
+    ], ids=["between-steps", "after-last-step"])
+    def test_window_with_no_step_exits_2(self, tmp_path, capsys, scenario, edit):
+        raw = json.loads(Path(f"scenarios/{scenario}.json").read_text())
+        raw.update(edit)
+        with pytest.raises(ConfigError, match="holds no step time"):
+            ScenarioConfig.from_dict(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert "holds no step time" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_fixed_loop_exits_3(self, tmp_path, capsys):
+        raw = {"name": "diverging", "reference": {"kind": "constant", "offset": 1.0},
+               "estimator": {"mode": "fixed", "theta0": [1000, 0, 0]}}
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert re.search(r"step \d+ \(t=[\d.]+s\): diverged", capsys.readouterr().err)
+        assert not out.exists()
+        table = tmp_path / "table.json"
+        assert main(["compare", str(path), "--methods", "fixed",
+                     "--out", str(table), "--format", "json"]) == 3
+        assert not table.exists()
+
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
 

@@ -22,8 +22,25 @@ class TestGains:
     def test_as_gains_copies(self):
         theta = np.array([1.0, 2.0, 3.0])
         out = as_gains(theta)
-        out[0] = 9.0
-        assert theta[0] == 1.0
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(g) is float for g in out)
+        theta[0] = 9.0
+        assert out == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("theta", [
+        [1.0, 2.0], [1.0, np.nan, 0.0], 5.0,
+        # tuples of three floats, as the estimator hands them over
+        (1.0, np.nan, 0.0), (np.inf, -np.inf, 0.0), (0.0, 0.0, -np.inf), (1.0, 2.0),
+    ])
+    def test_as_gains_rejects(self, theta):
+        with pytest.raises(ValueError):
+            as_gains(theta)
+
+    @pytest.mark.parametrize("theta", [(1e308, 1e308, 0.0), (1, 2, 3), np.array([1.0, 2.0, 3.0])])
+    def test_as_gains_returns_finite_floats(self, theta):
+        gains = as_gains(theta)
+        assert gains == tuple(float(g) for g in theta)
+        assert all(type(g) is float for g in gains)
 
 
 class TestPidController:
@@ -41,24 +58,6 @@ class TestPidController:
         c = PidController([0.0, 0.0, 1.0], TS)
         assert c.step(1.0) == pytest.approx(100.0)
         assert c.step(1.0) == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("theta", [
-        [1.0, 2.0], [1.0, np.nan, 0.0], 5.0,
-        # tuples of three floats, as the estimator hands them over
-        (1.0, np.nan, 0.0), (np.inf, -np.inf, 0.0), (0.0, 0.0, -np.inf), (1.0, 2.0),
-    ])
-    def test_gains_setter_validates(self, theta):
-        c = PidController([1.0, 0.0, 0.0], TS)
-        with pytest.raises(ValueError):
-            c.gains = theta
-        assert c.gains == (1.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("theta", [(1e308, 1e308, 0.0), (1, 2, 3), np.array([1.0, 2.0, 3.0])])
-    def test_gains_setter_stores_finite_floats(self, theta):
-        c = PidController([1.0, 0.0, 0.0], TS)
-        c.gains = theta
-        assert c.gains == tuple(float(g) for g in theta)
-        assert all(type(g) is float for g in c.gains)
 
     def test_gain_swap_keeps_integrator_state(self):
         c = PidController([0.0, 1.0, 0.0], TS)
@@ -160,7 +159,7 @@ class TestFlattenedBasisBits:
         kp, ki, kd = gains
         for k, e in enumerate(EXTREME_INPUTS):
             if k in RESET_AT:
-                c.reset()
+                c = PidController(gains, TS)
                 for f in ref:
                     f.reset()
             x, integ, diff = (f.step(e) for f in ref)
@@ -176,7 +175,7 @@ class TestFlattenedBasisBits:
         us = np.random.default_rng(32).standard_normal(len(EXTREME_INPUTS)).tolist()
         for k, (y, u) in enumerate(zip(EXTREME_INPUTS, us)):
             if k in RESET_AT:
-                gen.reset()
+                gen = RegressorGenerator(gm, TS)
                 for f in (complement, on_u, *ref):
                     f.reset()
             c = complement.step(y)

@@ -6,13 +6,15 @@ scenarios with one to three of their nodes mutated: a type swap, NaN or an
 infinity, a negation or zero, an empty list, a deletion, or an unknown key
 next to it.  A mutant that breaks the schema's types where the oracle can
 tell for sure (a bool or a numeric string in place of a number, a string in
-place of a list) must exit 2.  Each run is capped at CAP_S seconds of
-simulated time.
+place of a list) must exit 2.  An exit 2 writes nothing under `--out`; an
+exit 0 writes a summary with a finite MAE and maxAE.  Each run is capped at
+CAP_S seconds of simulated time.
 """
 
 import copy
 import json
 import math
+import shutil
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -132,7 +134,14 @@ def test_run_exits_0_2_or_3(tmp_path_factory, mutant):
     base, raw = mutant
     root = tmp_path_factory.getbasetemp() / "exit_contract"
     root.mkdir(exist_ok=True)
-    path = root / "mutant.json"
+    path, out = root / "mutant.json", root / "out"
     path.write_text(json.dumps(raw))
-    code = main(["run", str(path), "--out", str(root / "out")])
+    shutil.rmtree(out, ignore_errors=True)  # each example starts from no --out directory
+    code = main(["run", str(path), "--out", str(out)])
     assert code in ((2,) if mistyped(base, raw) else (0, 2, 3))
+    if code == 2:
+        assert not out.exists()
+    elif code == 0:
+        [summary] = out.glob("*_summary.json")
+        summary = json.loads(summary.read_text())
+        assert math.isfinite(summary["mae"]) and math.isfinite(summary["max_ae"])
