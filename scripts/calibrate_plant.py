@@ -20,12 +20,22 @@ import numpy as np
 
 from fritpid.frit import ClosedLoopDataset, batch_tune, frit_cost
 from fritpid.harness import ScenarioConfig, run_scenario
-from fritpid.plant import BoucWenParams, BoucWenPlant, quasi_static_sweep
+from fritpid.plant import BoucWenParams, BoucWenPlant
 
 ROOT = Path(__file__).resolve().parent.parent
 LOAD_CHANGE = ROOT / "scenarios" / "load_change.json"
 PRIOR_EXPERIMENT = ROOT / "perfbench" / "prior_experiment.json"
 TOLERANCE = 1e-6
+
+
+def quasi_static_sweep(plant: BoucWenPlant, u_max: float = 10.0, samples_per_leg: int = 4000):
+    """Slow 0 -> u_max -> 0 ramp; returns (u, y) for loop-shape checks."""
+    plant.reset(seed=0)
+    up = np.linspace(0.0, u_max, samples_per_leg)
+    down = np.linspace(u_max, 0.0, samples_per_leg)
+    u = np.concatenate([up, down])
+    y = np.array([plant.step(float(ui), k * plant.ts) for k, ui in enumerate(u)])
+    return u, y
 
 
 def main():

@@ -37,7 +37,7 @@ from .harness import (
     run_scenario,
 )
 from .lti import RationalFilter, ReferenceModel, one_minus
-from .plant import BoucWenParams, BoucWenPlant, LtiPlant, quasi_static_sweep
+from .plant import BoucWenParams, BoucWenPlant, LtiPlant
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "mu_sweep",
     "one_minus",
     "pid_filter",
-    "quasi_static_sweep",
     "run_scenario",
     "symmetric_eigen_bounds",
 ]

@@ -56,8 +56,7 @@ class RegressorGenerator:
 
     def __init__(self, gm: RationalFilter, ts: float):
         self._gm_complement = one_minus(gm)
-        self._gm_on_u = gm.copy()
-        self._gm_on_u.reset()
+        self._gm_on_u = RationalFilter(gm.num, gm.den)
         self._basis = PidBasis(ts)
 
     def step(self, y: float, u: float) -> tuple[tuple[float, float, float], float]:
@@ -163,7 +162,6 @@ class Estimator:
 
     def __init__(self, mode: str, theta0, mu: float = 0.9, epsilon: float = 1e-3,
                  r0=0.01, r_inf=0.01):
-        mode = mode.lower()
         if mode not in self._RULES:
             raise ValueError(f"unknown estimator mode {mode!r}")
         mu, epsilon = float(mu), float(epsilon)

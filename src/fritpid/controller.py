@@ -34,9 +34,6 @@ class PidBasis:
             raise ValueError(f"sampling time must be positive and finite, got {ts}")
         self.ts = float(ts)
         self._d0, self._d1 = 1.0 / self.ts, -1.0 / self.ts  # differencer numerator
-        self.reset()
-
-    def reset(self) -> None:
         self._integ = 0.0  # integrator delay line
         self._diff = 0.0  # differencer delay line
 

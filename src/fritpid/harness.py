@@ -317,7 +317,10 @@ class RunTrace:
     def load_csv(cls, path, window=(0.0, math.inf), name="trace", seed=0) -> "RunTrace":
         cols = read_columns(path, TRACE_COLUMNS)
         columns = {c: np.array(v) for c, v in zip(TRACE_COLUMNS, cols)}
-        return cls(columns, tuple(window), name, seed)
+        trace = cls(columns, tuple(window), name, seed)
+        if not trace.window_mask().any():
+            raise ValueError(f"{path}: no trace row falls in the window {list(window)}")
+        return trace
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:

@@ -29,8 +29,8 @@ class RationalFilter:
     def __new__(cls, num=None, den=None):
         # orders 0 and 1 (the PID basis, first-order reference models) are
         # built as the subclasses that unroll the step: the generic loop's
-        # operations in the same order, so the same bits.  copy and pickle
-        # call __new__ without coefficients and keep the class they copy.
+        # operations in the same order, so the same bits.  copy.deepcopy and
+        # pickle call __new__ without coefficients and keep the class they clone.
         if cls is RationalFilter and den is not None:
             n = max(len(_trim([float(c) for c in num] or [0.0])),
                     len(_trim([float(c) for c in den])))
@@ -64,11 +64,6 @@ class RationalFilter:
     def order(self) -> int:
         return max(len(self.num), len(self.den)) - 1
 
-    def copy(self) -> "RationalFilter":
-        f = RationalFilter(self.num, self.den)
-        f._w = list(self._w)
-        return f
-
     def reset(self) -> None:
         self._w = [0.0] * len(self._w)
 
@@ -88,7 +83,7 @@ class RationalFilter:
     def filter(self, u) -> list[float]:
         """Filter a whole sequence from zero initial state.
 
-        Runs on a copy, so the caller's filter state is untouched.
+        Runs on a fresh filter, so the caller's filter state is untouched.
         """
         f = RationalFilter(self.num, self.den)
         return [f.step(x) for x in np.asarray(u, dtype=float).tolist()]

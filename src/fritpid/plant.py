@@ -3,13 +3,14 @@
 Two families: linear (any rational filter) and a hysteretic actuator built
 from a first-order pressure lag driving a Bouc-Wen hysteresis state.  Both
 support an optional input clamp, seeded output noise, and a switch schedule
-that rewrites parameters mid-run (load-change experiments).
+that moves to other parameters mid-run (load-change experiments).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def _validate_schedule(schedule, keys):
             )
         if not math.isfinite(entry["time"]):
             raise ValueError(f"schedule time must be finite, got {entry['time']}")
-    times = [entry["time"] for entry in schedule]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+    if any(b["time"] <= a["time"] for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule switch times must be strictly increasing")
     return [dict(entry) for entry in schedule]
 
@@ -105,31 +105,31 @@ NOISE_BLOCK = 256
 
 
 class _PlantBase:
-    """Saturation, seeded noise, and scheduled parameter switches."""
+    """Saturation, seeded noise, and parameter stages switched on a schedule."""
 
     SCHEDULE_KEYS = frozenset({"time"})  # what a switch entry may set
 
-    def __init__(self, noise_std=0.0, saturation=None, schedule=()):
+    def __init__(self, initial, noise_std=0.0, saturation=None, schedule=()):
         if not 0.0 <= noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         self.noise_std = float(noise_std)
         self.saturation = saturation_bounds(saturation)
         self.schedule = _validate_schedule(schedule, self.SCHEDULE_KEYS)
-        self.reset()
-        for entry in self.schedule:  # a bad switch fails here, not when it fires
-            self._apply_switch(entry)
+        self._stages = [initial]  # stage i follows switch i-1; a bad switch fails here
+        for entry in self.schedule:
+            self._stages.append(self._switched(self._stages[-1], entry))
+        self._times = [entry["time"] for entry in self.schedule] + [math.inf]
         self.reset()
 
     def reset(self, seed: int = 0) -> None:
-        """Restart from the initial state, schedule re-armed and noise reseeded."""
+        """Restart from the initial state and stage, with the noise reseeded."""
         # the generator is made at the first draw: numpy imports numpy.random
         # (~12 ms) on first use, which a noise-free plant need not pay
         self._seed, self._rng = seed, None
         self._noise = iter(())  # the rest of the current block
-        self._pending = list(self.schedule)
-        self._next_switch = self._pending[0]["time"] if self._pending else math.inf
+        self._next_switch = self._times[0]
         self._last_t = -math.inf
-        self._reset_state()
+        self._start(self._stages[0])
 
     def step(self, u: float, t: float) -> float:
         """Advance one sample; returns the (noisy) output."""
@@ -137,9 +137,10 @@ class _PlantBase:
             raise ValueError("time must be nondecreasing across plant steps")
         self._last_t = t
         if t >= self._next_switch:
-            while self._pending and t >= self._pending[0]["time"]:
-                self._apply_switch(self._pending.pop(0))
-            self._next_switch = self._pending[0]["time"] if self._pending else math.inf
+            # stage = the number of switches due by t (the inf sentinel never is)
+            stage = bisect_right(self._times, t, hi=len(self.schedule))
+            self._next_switch = self._times[stage]
+            self._use(self._stages[stage])
         if self.saturation is not None:
             lo, hi = self.saturation
             u = min(max(u, lo), hi)
@@ -154,15 +155,6 @@ class _PlantBase:
             y += self.noise_std * z
         return y
 
-    def _reset_state(self):
-        raise NotImplementedError
-
-    def _advance(self, u: float) -> float:
-        raise NotImplementedError
-
-    def _apply_switch(self, entry: dict) -> None:
-        raise NotImplementedError
-
 
 class LtiPlant(_PlantBase):
     """Linear plant wrapping a rational filter.
@@ -175,27 +167,26 @@ class LtiPlant(_PlantBase):
     SCHEDULE_KEYS = frozenset({"time", "num", "den", "gain_scale"})
 
     def __init__(self, filt: RationalFilter, noise_std=0.0, saturation=None, schedule=()):
-        self._template = filt.copy()
-        super().__init__(noise_std, saturation, schedule)
+        super().__init__(RationalFilter(filt.num, filt.den), noise_std, saturation, schedule)
 
-    def _reset_state(self):
-        self._filter = self._template.copy()
-        self._filter.reset()
+    @staticmethod
+    def _switched(filt, entry):
+        num = [c * entry.get("gain_scale", 1.0) for c in entry.get("num", filt.num)]
+        stage = RationalFilter(num, entry.get("den", filt.den))
+        if stage.order != filt.order:
+            raise ValueError("schedule cannot change the plant order mid-run")
+        return stage
+
+    def _start(self, filt):
+        filt.reset()
+        self._filter = filt
+
+    def _use(self, filt):
+        filt._w = self._filter._w  # the live delay line carries on
+        self._filter = filt
 
     def _advance(self, u: float) -> float:
         return self._filter.step(u)
-
-    def _apply_switch(self, entry):
-        num = entry.get("num", self._filter.num)
-        den = entry.get("den", self._filter.den)
-        if "gain_scale" in entry:
-            num = [c * entry["gain_scale"] for c in num]
-        replacement = RationalFilter(num, den)
-        if replacement.order != self._filter.order:
-            raise ValueError("schedule cannot change the plant order mid-run")
-        state = self._filter._w
-        self._filter = replacement
-        self._filter._w = list(state)
 
 
 class BoucWenPlant(_PlantBase):
@@ -203,7 +194,8 @@ class BoucWenPlant(_PlantBase):
 
     Schedule entries may set any ``BoucWenParams`` field by name or apply
     ``gain_scale``/``tau_scale`` factors (a load change is roughly "less
-    gain, slower stroke").  ``reset`` restores the parameters it was built with.
+    gain, slower stroke").  ``params`` holds the current stage's parameters;
+    ``reset`` restores the ones the plant was built with.
     """
 
     SCHEDULE_KEYS = frozenset(
@@ -215,28 +207,32 @@ class BoucWenPlant(_PlantBase):
         if not 0.0 < ts < math.inf:  # written so that NaN fails too
             raise ValueError(f"ts must be positive and finite, got {ts}")
         self.ts = float(ts)
-        self._initial_params = params if params is not None else BoucWenParams()
-        super().__init__(noise_std, saturation, schedule)
+        super().__init__(params if params is not None else BoucWenParams(),
+                         noise_std, saturation, schedule)
 
-    @property
-    def params(self) -> BoucWenParams:
-        return self._params
+    @staticmethod
+    def _switched(params, entry):
+        merged = {f: getattr(params, f) for f in BoucWenParams.__dataclass_fields__}
+        merged.update((k, v) for k, v in entry.items() if k in merged)
+        if "gain_scale" in entry:
+            merged["gain"] *= entry["gain_scale"]
+        if "tau_scale" in entry:
+            merged["tau"] *= entry["tau_scale"]
+        return BoucWenParams(**merged)
 
-    @params.setter
-    def params(self, p: BoucWenParams) -> None:
+    def _start(self, params):
+        self._use(params)
+        self._x = self._z = 0.0
+
+    def _use(self, p):
         # per-step constants, each grouped as `_advance` associates it, so
         # the output is the same to the bit as evaluating the law in full
         a = math.exp(-self.ts / p.tau)
-        self._params = p
+        self.params = p
         self._constants = (
             a, (1.0 - a) * p.gain, p.sigma, p.n - 1.0, p.n, p.beta, p.gamma,
             p.bias, p.stiffness, p.alpha, (1.0 - p.alpha) * p.sigma,
         )
-
-    def _reset_state(self):
-        self.params = self._initial_params
-        self._x = 0.0
-        self._z = 0.0
 
     def _advance(self, u: float) -> float:
         a, drive, sigma, n1, n, beta, gamma, bias, stiffness, alpha, hyst = self._constants
@@ -249,23 +245,3 @@ class BoucWenPlant(_PlantBase):
         self._x = x_new
         self._z = z = z + dz
         return stiffness * (alpha * x_new + hyst * z)
-
-    def _apply_switch(self, entry):
-        values = {k: v for k, v in entry.items() if k in BoucWenParams.__dataclass_fields__}
-        merged = {f: getattr(self.params, f) for f in BoucWenParams.__dataclass_fields__}
-        merged.update(values)
-        if "gain_scale" in entry:
-            merged["gain"] *= entry["gain_scale"]
-        if "tau_scale" in entry:
-            merged["tau"] *= entry["tau_scale"]
-        self.params = BoucWenParams(**merged)
-
-
-def quasi_static_sweep(plant: BoucWenPlant, u_max: float = 10.0, samples_per_leg: int = 4000):
-    """Slow 0 -> u_max -> 0 ramp; returns (u, y) for loop-shape checks."""
-    plant.reset(seed=0)
-    up = np.linspace(0.0, u_max, samples_per_leg)
-    down = np.linspace(u_max, 0.0, samples_per_leg)
-    u = np.concatenate([up, down])
-    y = np.array([plant.step(float(ui), k * plant.ts) for k, ui in enumerate(u)])
-    return u, y

@@ -470,8 +470,9 @@ class TestFactory:
         assert Estimator("ef", [0.0, 0.0, 0.0], mu=0.95).mu == 0.95
         assert Estimator("df", [0.0, 0.0, 0.0]).mode == "df"
         assert Estimator("er", [0.0, 0.0, 0.0]).mode == "er"
-        with pytest.raises(ValueError):
-            Estimator("kalman", [0.0, 0.0, 0.0])
+        for mode in ("kalman", "DF"):  # modes are spelled in lower case only
+            with pytest.raises(ValueError, match="unknown estimator mode"):
+                Estimator(mode, [0.0, 0.0, 0.0])
 
     def test_matrix_r0_rejected(self):
         # R(0) = r0 * I: the initial information is a scalar, never a matrix

@@ -146,7 +146,7 @@ class TestFlattenedBasisBits:
         basis, ref = PidBasis(ts), _reference_basis(ts)
         for k, x in enumerate(EXTREME_INPUTS):
             if k in RESET_AT:
-                basis.reset()
+                basis = PidBasis(ts)
                 for f in ref:
                     f.reset()
             got = basis.step(x)
@@ -171,7 +171,7 @@ class TestFlattenedBasisBits:
     def test_regressor(self, dc_gain):
         gm = ReferenceModel.first_order(TS, dc_gain=dc_gain).filter
         gen = RegressorGenerator(gm, TS)
-        complement, on_u, ref = one_minus(gm), gm.copy(), _reference_basis(TS)
+        complement, on_u, ref = one_minus(gm), RationalFilter(gm.num, gm.den), _reference_basis(TS)
         us = np.random.default_rng(32).standard_normal(len(EXTREME_INPUTS)).tolist()
         for k, (y, u) in enumerate(zip(EXTREME_INPUTS, us)):
             if k in RESET_AT:

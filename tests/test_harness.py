@@ -371,6 +371,14 @@ class TestTraceIo:
         for col in TRACE_COLUMNS:
             assert loaded[col].tobytes() == trace[col].tobytes()
 
+    def test_load_with_an_empty_window_raises(self, tmp_path):
+        # a window past the end of the trace would give mae = nan and make max_ae raise
+        path = tmp_path / "trace.csv"
+        run_scenario(identity_plant_config(), seed=0).save_csv(path)
+        match = r"trace\.csv: no trace row falls in the window \[1000\.0, 2000\.0\]"
+        with pytest.raises(ValueError, match=match):
+            RunTrace.load_csv(path, window=(1000.0, 2000.0))
+
     @pytest.mark.parametrize("mode", ["fixed", "df"])
     def test_bytes_match_reference_writer(self, tmp_path, mode):
         # fixed mode writes nan pmin/pmax; df sets deadzone on some steps

@@ -91,16 +91,14 @@ class TestStatefulness:
         rng = np.random.default_rng(4)
         f = random_filter(rng)
         u = rng.standard_normal(64)
-        fresh = f.copy()
-        fresh.reset()
+        fresh = RationalFilter(f.num, f.den)
         stepped = [fresh.step(x) for x in u]
         assert f.filter(u) == pytest.approx(stepped, abs=0)
 
-    def test_reset_and_copy(self):
+    def test_reset(self):
         f = RationalFilter([1.0, 0.5], [1.0, -0.5])
         y1 = [f.step(x) for x in (1.0, 2.0)]
-        g = f.copy()
-        assert g.step(3.0) == f.step(3.0)
+        f.step(3.0)
         f.reset()
         assert [f.step(x) for x in (1.0, 2.0)] == y1
 
@@ -233,16 +231,13 @@ class TestOrderSpecializedStep:
             ref = reference_run([float(c) for c in num], [float(c) for c in den], u)
             assert np.array_equal(bits([f.step(x) for x in u]), bits(ref))
 
-    def test_copy_and_reset_keep_the_specialized_step_exact(self):
+    def test_reset_keeps_the_specialized_step_exact(self):
         f = RationalFilter([0.3, -0.7], [1.5, -0.6])
         u = np.random.default_rng(64).standard_normal(50).tolist()
-        ref = reference_run([0.3, -0.7], [1.5, -0.6], u + u)
-        head = [f.step(x) for x in u[:20]]
-        g = f.copy()  # continues from f's delay line
-        tail = [g.step(x) for x in u[20:]]
+        ref = reference_run([0.3, -0.7], [1.5, -0.6], u)
+        assert np.array_equal(bits([f.step(x) for x in u[:20]]), bits(ref[:20]))
         f.reset()
-        assert np.array_equal(bits(head + tail), bits(ref[:50]))
-        assert np.array_equal(bits([f.step(x) for x in u]), bits(ref[:50]))
+        assert np.array_equal(bits([f.step(x) for x in u]), bits(ref))
 
     @pytest.mark.parametrize("num, den", [
         ([2.0, 0.0], [4.0, 0.0]),  # trailing zeros trimmed: order 0

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from fritpid.lti import RationalFilter
-from fritpid.plant import (
-    NOISE_BLOCK,
-    BoucWenParams,
-    BoucWenPlant,
-    LtiPlant,
-    quasi_static_sweep,
-)
+from fritpid.plant import NOISE_BLOCK, BoucWenParams, BoucWenPlant, LtiPlant
 
 TS = 0.01
 
@@ -18,6 +12,12 @@ TS = 0.01
 def run_plant(plant, u, seed=0, ts=TS):
     plant.reset(seed=seed)
     return np.array([plant.step(float(ui), k * ts) for k, ui in enumerate(u)])
+
+
+def quasi_static_ramp(u_max=10.0, samples_per_leg=4000):
+    """Slow 0 -> u_max -> 0 input ramp for loop-shape checks."""
+    return np.concatenate([np.linspace(0.0, u_max, samples_per_leg),
+                           np.linspace(u_max, 0.0, samples_per_leg)])
 
 
 class TestLtiPlant:
@@ -70,7 +70,7 @@ class TestLtiPlant:
             )
 
     def test_order_changing_switch_fails_in_the_constructor(self):
-        # every switch is applied once when the plant is built, not only when it fires
+        # every stage is built with the plant, so a bad switch fails before it fires
         with pytest.raises(ValueError, match="order"):
             LtiPlant(
                 RationalFilter([0.0, 0.0095], [1.0, -0.99]),
@@ -99,13 +99,14 @@ class TestBoucWenPlant:
 
     def test_covers_calibrated_displacement_band(self):
         p = BoucWenPlant(BoucWenParams(), ts=TS)
-        _, y = quasi_static_sweep(p, u_max=10.0)
+        y = run_plant(p, quasi_static_ramp(u_max=10.0))
         assert y.max() >= 60.0
         assert y.min() <= 10.0
 
     def test_hysteresis_loop_has_area(self):
         p = BoucWenPlant(BoucWenParams(), ts=TS)
-        u, y = quasi_static_sweep(p, u_max=10.0, samples_per_leg=2000)
+        u = quasi_static_ramp(u_max=10.0, samples_per_leg=2000)
+        y = run_plant(p, u)
         n = len(u) // 2
         area = np.trapezoid(y[:n], u[:n]) - np.trapezoid(y[n:][::-1], u[:n])
         assert area > 1.0
@@ -198,22 +199,27 @@ class TestBoucWenPlant:
         with pytest.raises(ValueError, match="ts must be positive"):
             BoucWenPlant(BoucWenParams(), ts=ts)
 
-    def test_reset_restores_initial_params(self):
-        # the switch halves the gain; a reset must undo it, not compound it
-        p = BoucWenPlant(BoucWenParams(), ts=TS, schedule=[{"time": 0.5, "gain_scale": 0.5}])
+    @pytest.mark.parametrize("make", [
+        lambda schedule: BoucWenPlant(BoucWenParams(), ts=TS, schedule=schedule),
+        lambda schedule: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=schedule),
+    ], ids=["bouc_wen", "lti"])
+    def test_reset_restores_initial_params(self, make):
+        # the switch halves the gain; a reset must go back to the first stage,
+        # not compound the switch, and the LTI delay line carries across it
+        p = make([{"time": 0.5, "gain_scale": 0.5}])
         u = 5.0 + 2.0 * np.sin(np.linspace(0, 6, 200))
         first = run_plant(p, u)
-        params = p.params
         second = run_plant(p, u)
-        assert p.params == params and p.params.gain == 5.0
         assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+        assert np.array_equal(first[:50], run_plant(make([]), u)[:50])
+        assert abs(first[50] - first[49]) < 0.5  # no jump: the state carried on
 
     def test_bad_switch_fails_in_the_constructor(self):
         with pytest.raises(ValueError, match="tau must be positive"):
             BoucWenPlant(BoucWenParams(), ts=TS, schedule=[{"time": 50.0, "tau_scale": -1}])
 
     def test_constructor_leaves_the_initial_params(self):
-        # the constructor's trial run of the schedule is undone before step 0
+        # building the later stages leaves the plant in the first one
         p = BoucWenPlant(BoucWenParams(), ts=TS, schedule=[
             {"time": 1.0, "gain_scale": 0.5}, {"time": 2.0, "tau_scale": 2.0}])
         assert p.params == BoucWenParams()
