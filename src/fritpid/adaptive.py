@@ -19,9 +19,10 @@ rules for R:
   (Salgado, Goodwin & Middleton 1988), which pulls R toward the floor
   R_inf = r_inf*I.
 
-Each rule keeps P and R an exact inverse pair: noforget/ef and df update P
-by rank-one Sherman-Morrison steps, er re-solves P = R^-1 directly.  The
-rule is picked once, when the estimator is built.
+Each rule keeps P and R an inverse pair: noforget/ef update P by a
+Sherman-Morrison step, df and er re-solve P = R^-1 with the one scale-safe
+inverse, which also tests that R is positive definite.  The rule is picked
+once, when the estimator is built.
 
 The per-step arithmetic is written out on Python floats: a symmetric 3x3
 matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
@@ -108,39 +109,28 @@ def _sym_matrix(m) -> np.ndarray:
     return np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
 
 
-def _is_spd(m) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive.
-
-    Tested through the Cholesky pivots, the ratios of consecutive minors,
-    which stay representable where the minors themselves would underflow.
-    """
-    a00, a01, a02, a11, a12, a22 = m
-    if not a00 > 0.0:
-        return False
-    piv1 = a11 - a01 * a01 / a00
-    if not piv1 > 0.0:
-        return False
-    l12 = a12 - a01 * a02 / a00
-    return a22 - a02 * a02 / a00 - l12 * l12 / piv1 > 0.0
-
-
 def _inverse(m) -> tuple[float, ...]:
-    """Inverse of a symmetric 3x3 matrix by its adjugate.
+    """Inverse of a symmetric 3x3 matrix by its adjugate; the one SPD test.
 
     The adjugate is taken of D M D with D = diag(M)^-1/2, which has a unit
     diagonal, so the determinant neither under- nor overflows at any scale
-    or diagonal grading of an SPD input; then M^-1 = D (D M D)^-1 D.
+    or diagonal grading of an SPD input; then M^-1 = D (D M D)^-1 D.  D M D
+    is congruent to M, so Sylvester's criterion on it (a positive diagonal,
+    1 - s01^2 > 0 and det > 0) tests that M is positive definite; anything
+    else is a SingularInformationError.
     """
     a00, a01, a02, a11, a12, a22 = m
     if not (0.0 < a00 < inf and 0.0 < a11 < inf and 0.0 < a22 < inf):
         raise SingularInformationError(f"information matrix has diagonal {[a00, a11, a22]}")
     d0, d1, d2 = 1.0 / sqrt(a00), 1.0 / sqrt(a11), 1.0 / sqrt(a22)
     s01, s02, s12 = a01 * d0 * d1, a02 * d0 * d2, a12 * d1 * d2
+    c22 = 1.0 - s01 * s01
     c00, c01, c02 = 1.0 - s12 * s12, s02 * s12 - s01, s01 * s12 - s02
     det = c00 + s01 * c01 + s02 * c02
-    if not 0.0 < det < inf:
-        raise SingularInformationError(f"information matrix is singular (scaled det {det})")
-    c11, c12, c22 = 1.0 - s02 * s02, s01 * s02 - s12, 1.0 - s01 * s01
+    if not (c22 > 0.0 and 0.0 < det < inf):
+        raise SingularInformationError(
+            f"information matrix is not positive definite (scaled minors {c22}, {det})")
+    c11, c12 = 1.0 - s02 * s02, s01 * s02 - s12
     return (c00 / det * d0 * d0, c01 / det * d0 * d1, c02 / det * d0 * d2,
             c11 / det * d1 * d1, c12 / det * d1 * d2, c22 / det * d2 * d2)
 
@@ -177,7 +167,7 @@ class Estimator:
         self._theta = as_gains(theta0)
         r0 = _positive_scalar(r0, "r0")
         self._r_inf = _positive_scalar(r_inf, "r_inf")
-        if mode == "er" and r0 - self._r_inf < -1e-12:
+        if mode == "er" and r0 < self._r_inf:
             raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
         self._R = (r0, 0.0, 0.0, r0, 0.0, r0)
         self._P = _inverse(self._R)
@@ -273,34 +263,21 @@ class Estimator:
             r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
             r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
         )
-        if not _is_spd(R):
-            raise SingularInformationError("information matrix is not positive definite")
-        # P tracks R^-1 exactly: rank-one update for the forgotten slice,
-        # then a Sherman-Morrison downdate for the added phi*phi^T
-        c = (1.0 - mu) / (mu * a)
-        p00, p01, p02, p11, p12, p22 = self._P
-        p00, p01, p02 = p00 + c * (f0 * f0), p01 + c * (f0 * f1), p02 + c * (f0 * f2)
-        p11, p12, p22 = p11 + c * (f1 * f1), p12 + c * (f1 * f2), p22 + c * (f2 * f2)
-        w0 = p00 * f0 + p01 * f1 + p02 * f2
-        w1 = p01 * f0 + p11 * f1 + p12 * f2
-        w2 = p02 * f0 + p12 * f1 + p22 * f2
-        s = 1.0 + (f0 * w0 + f1 * w1 + f2 * w2)
+        self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
         self._R = R
-        self._P = (
-            p00 - w0 * w0 / s, p01 - w0 * w1 / s, p02 - w0 * w2 / s,
-            p11 - w1 * w1 / s, p12 - w1 * w2 / s, p22 - w2 * w2 / s,
-        )
-        return w0 / s, w1 / s, w2 / s
+        return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
+                p02 * f0 + p12 * f1 + p22 * f2)
 
     def _er(self, f0, f1, f2):
         mu = self.mu
         floor = (1.0 - mu) * self._r_inf  # R_inf is r_inf*I: only the diagonal moves
         r00, r01, r02, r11, r12, r22 = self._R
-        self._R = R = (
+        R = (
             mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
             mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
         )
         self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
+        self._R = R
         return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
                 p02 * f0 + p12 * f1 + p22 * f2)
 

@@ -241,12 +241,12 @@ class ScenarioConfig:
         plant.reset(seed=seed)
         return seed, reference, gm, plant, estimator
 
-    def trial_seeds(self) -> list[int]:
+    def trial_seeds(self) -> list[int] | range:
         if self.seeds is not None:
             if len(self.seeds) < self.trials:
                 raise ConfigError("fewer seeds than trials")
             return self.seeds[: self.trials]
-        return list(range(self.trials))
+        return range(self.trials)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":

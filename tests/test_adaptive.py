@@ -11,8 +11,10 @@ from fritpid.adaptive import (
     NumericalBreakdownError,
     RegressorGenerator,
     RlsEstimator,
+    SingularInformationError,
     symmetric_eigen_bounds,
 )
+from fritpid.harness import ScenarioConfig, run_scenario
 from fritpid.lti import RationalFilter, ReferenceModel
 
 TS = 0.01
@@ -248,8 +250,9 @@ class TestExponentialResetting:
             assert np.linalg.norm(est.P @ est.R - I3) < 1e-12
 
     def test_requires_r0_dominating_floor(self):
-        with pytest.raises(ValueError):
-            ExponentialResettingRls([0.0, 0.0, 0.0], r0=0.01, r_inf=0.02)
+        for r0, r_inf in [(0.01, 0.02), (1e-14, 1e-13)]:  # exact, at any scale
+            with pytest.raises(ValueError, match="r0 must dominate r_inf"):
+                ExponentialResettingRls([0.0, 0.0, 0.0], r0=r0, r_inf=r_inf)
 
     def test_duality_random_stream(self):
         rng = np.random.default_rng(49)
@@ -367,6 +370,24 @@ class TestBreakdown:
         with pytest.raises(NumericalBreakdownError):
             est.update([1e160, 0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("mode", ["df", "er"])
+    def test_breakdown_leaves_state_unchanged(self, mode):
+        # phi_0^2 overflows R's diagonal, so the inverse rejects the new R
+        est = Estimator(mode, [0.1, 0.2, 0.3], r0=1.0, r_inf=1.0)
+        est.update([0.5, -0.25, 1.0], 0.1)
+        before = est.theta, est.P, est.R
+        with pytest.raises(SingularInformationError):
+            est.update([1e160, 0.0, 0.0], 0.0)
+        for old, new in zip(before, (est.theta, est.P, est.R)):
+            assert np.array_equal(old, new)
+
+
+class TestInverse:
+    def test_positive_diagonal_and_determinant_but_indefinite(self):
+        # unit diagonal, off-diagonals 1.5: eigenvalues 4, -0.5, -0.5 and det 1
+        with pytest.raises(SingularInformationError, match="not positive definite"):
+            adaptive._inverse((1.0, 1.5, 1.5, 1.0, 1.5, 1.0))
+
 
 class TestLongHorizonDuality:
     @pytest.mark.parametrize("mode", ["df", "er"])
@@ -379,6 +400,21 @@ class TestLongHorizonDuality:
         for phi, d in zip(phis.tolist(), ds.tolist()):
             est.update(phi, d)
             assert np.linalg.norm(est.P @ est.R - I3) < 1e-6
+
+    def test_duality_on_closed_loop_replay(self):
+        # replay the regressor and estimator of method_comparison (df, seed 0)
+        # from its trace; P R = I must hold along the closed-loop data
+        cfg = ScenarioConfig.from_json("scenarios/method_comparison.json")
+        assert cfg.estimator.mode == "df"
+        trace = run_scenario(cfg, seed=0)
+        _, _, gm, _, est = cfg.build(0)
+        regressor = RegressorGenerator(gm.filter, cfg.ts)
+        worst = 0.0
+        for y, u in zip(trace["y"].tolist(), trace["u"].tolist()):
+            est.update(*regressor.step(y, u))
+            worst = max(worst, np.linalg.norm(est.P @ est.R - I3))
+        assert np.array_equal(est.theta, [trace["kp"][-1], trace["ki"][-1], trace["kd"][-1]])
+        assert worst <= 1e-8
 
 
 class TestEigenBounds:

@@ -234,6 +234,24 @@ class TestRun:
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
 
+    @pytest.mark.parametrize("scenario, out", [(".", "out"), ("short.json", "taken")],
+                             ids=["scenario-is-a-directory", "out-is-a-file"])
+    def test_unusable_path_exits_2_and_writes_nothing(self, tmp_path, short_scenario, capsys,
+                                                      scenario, out):
+        (tmp_path / "taken").write_text("")
+        assert main(["run", str(tmp_path / scenario), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json", "taken"]
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_huge_trial_count_loads_and_runs(self, tmp_path, short_scenario):
+        raw = json.loads(short_scenario.read_text())
+        raw["trials"] = 10**30  # no seeds: the trial seeds are range(trials), never a list
+        short_scenario.write_text(json.dumps(raw))
+        assert ScenarioConfig.from_json(short_scenario).trial_seeds()[-1] == 10**30 - 1
+        assert main(["run", str(short_scenario), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "short_trace.csv").exists()
+
     @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["mu", "epsilon", "r0", "r_inf"])
@@ -336,6 +354,16 @@ class TestSweepAndCompare:
         assert len(lines) == 3
         assert "mu" in lines[0]
         assert "mu=" in capsys.readouterr().out.replace(" ", "")
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--mu", "0.9"], ["compare", "--methods", "df"],
+    ], ids=["sweep", "compare"])
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, short_scenario, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([*command, str(short_scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
     def test_compare_json_format(self, tmp_path, short_scenario):
         out = tmp_path / "cmp.json"

@@ -99,7 +99,7 @@ class TestConfig:
     def test_seeds_default_to_range(self):
         cfg = identity_plant_config()
         cfg.trials = 4
-        assert cfg.trial_seeds() == [0, 1, 2, 3]
+        assert list(cfg.trial_seeds()) == [0, 1, 2, 3]
 
     def test_reference_kinds(self):
         for kind, kw in [
