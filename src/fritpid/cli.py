@@ -59,10 +59,20 @@ def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
     if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
         raise ConfigError(f"scenario name {cfg.name!r} must be a plain file name")
+    # both output targets are checked before the run, creating nothing
+    outdir = Path(args.out)
+    existing = next(p for p in (outdir, *outdir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {outdir}: {existing} is not a directory")
+    if args.save_dataset:
+        dataset = Path(args.save_dataset)
+        if dataset.is_dir():
+            raise IsADirectoryError(f"--save-dataset {dataset} is a directory")
+        if not (dataset.parent.is_dir() or dataset.parent.resolve() == outdir.resolve()):
+            raise FileNotFoundError(f"--save-dataset {dataset}: no directory {dataset.parent}")
     t0 = time.perf_counter()
     trace = run_scenario(cfg, seed=args.seed)
     wall_s = time.perf_counter() - t0
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / f"{cfg.name}_trace.csv"
     trace.save_csv(trace_path)

@@ -16,14 +16,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .adaptive import RegressorGenerator
-from .controller import as_gains, pid_filter
+from .controller import PidBasis, as_gains, pid_filter
 from .csvio import INTEGER, read_columns, write_columns
-from .lti import ReferenceModel
+from .lti import ReferenceModel, one_minus
 
 PROPERNESS_TOL = 1e-9
 CONDITION_LIMIT = 1e12
@@ -133,9 +133,10 @@ def regressor_samples(
     data: ClosedLoopDataset, gm: ReferenceModel, skip: int = TRANSIENT_SKIP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch (Phi, d) arrays from a dataset, transient samples dropped."""
-    gen = RegressorGenerator(gm.filter, data.ts)
-    phis, ds = zip(*map(gen.step, data.y0.tolist(), data.u0.tolist()))
-    return np.array(phis)[skip:], np.array(ds)[skip:]
+    # RegressorGenerator's stages, each over the whole record: the same floats
+    rows = map(PidBasis(data.ts).step, one_minus(gm.filter).filter(data.y0))
+    phis = np.fromiter(chain.from_iterable(rows), float, 3 * len(data)).reshape(-1, 3)
+    return phis[skip:], np.array(gm.filter.filter(data.u0))[skip:]
 
 
 def batch_tune(

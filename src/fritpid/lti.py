@@ -27,10 +27,10 @@ class RationalFilter:
     """Stateful SISO filter num(z^-1)/den(z^-1); num and den are sequences."""
 
     def __new__(cls, num=None, den=None):
-        # orders 0 and 1 (the PID basis, first-order reference models) are
-        # built as the subclasses that unroll the step: the generic loop's
-        # operations in the same order, so the same bits.  copy.deepcopy and
-        # pickle call __new__ without coefficients and keep the class they clone.
+        # orders 0-2 (the PID basis, first-order reference models, pid_filter
+        # with kd != 0 and its inverse) get subclasses that unroll the step:
+        # the generic loop's operations in the same order, so the same bits.
+        # deepcopy and pickle call __new__ bare and keep the class they clone.
         if cls is RationalFilter and den is not None:
             n = max(len(_trim([float(c) for c in num] or [0.0])),
                     len(_trim([float(c) for c in den])))
@@ -54,11 +54,9 @@ class RationalFilter:
         self._b = [c / a0 for c in self.num] + [0.0] * (n - len(self.num))
         self._a = [c / a0 for c in self.den] + [0.0] * (n - len(self.den))
         self._w = [0.0] * (n - 1)
-        if n == 1:
-            self._b0 = self._b[0]
-        elif n == 2:
-            self._b0, self._b1 = self._b
-            self._a1 = self._a[1]
+        if n <= 3:  # the coefficients the unrolled steps read, zero-padded
+            self._b0, self._b1, self._b2 = self._b + [0.0] * (3 - n)
+            _, self._a1, self._a2 = self._a + [0.0] * (3 - n)
 
     @property
     def order(self) -> int:
@@ -70,8 +68,8 @@ class RationalFilter:
     def step(self, u: float) -> float:
         """Advance the difference equation one sample and return the output.
 
-        This is the loop for orders >= 2; orders 0 and 1 are unrolled in
-        ``_Order0Filter`` and ``_Order1Filter`` (see ``__new__``).
+        This is the loop for orders >= 3; orders 0 to 2 are unrolled in
+        ``_Order0Filter`` to ``_Order2Filter`` (see ``__new__``).
         """
         b, a, w = self._b, self._a, self._w
         y = b[0] * u + w[0]
@@ -119,8 +117,19 @@ class _Order1Filter(RationalFilter):
         return y
 
 
+class _Order2Filter(RationalFilter):
+    """A RationalFilter of order 2, its difference equation unrolled."""
+
+    def step(self, u: float) -> float:
+        w = self._w
+        y = self._b0 * u + w[0]
+        w[0] = self._b1 * u + w[1] - self._a1 * y
+        w[1] = self._b2 * u - self._a2 * y
+        return y
+
+
 # filter classes by len(padded coefficients) = order + 1
-_UNROLLED = {1: _Order0Filter, 2: _Order1Filter}
+_UNROLLED = {1: _Order0Filter, 2: _Order1Filter, 3: _Order2Filter}
 
 
 def one_minus(f: RationalFilter) -> RationalFilter:

@@ -244,6 +244,36 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json", "taken"]
         assert (tmp_path / "taken").read_text() == ""
 
+    @pytest.mark.parametrize("out, dataset", [
+        ("taken", None),
+        ("taken/out", None),
+        ("out", "no/such/dir/x.csv"),
+        ("out", "out/sub/x.csv"),
+        ("out", "."),
+    ], ids=["out-is-a-file", "out-under-a-file", "dataset-dir-missing",
+            "dataset-dir-under-out", "dataset-is-a-directory"])
+    def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
+                                                   out, dataset):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(PidController, "step", no_step)
+        (tmp_path / "taken").write_text("")
+        argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
+        if dataset:
+            argv += ["--save-dataset", str(tmp_path / dataset)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_dataset_may_go_into_the_out_directory_it_creates(self, tmp_path, short_scenario):
+        out = tmp_path / "new"
+        assert main(["run", str(short_scenario), "--out", f"{out}/",
+                     "--save-dataset", str(out / "." / "experiment.csv")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "experiment.csv", "experiment.json", "short_summary.json", "short_trace.csv"]
+
     def test_huge_trial_count_loads_and_runs(self, tmp_path, short_scenario):
         raw = json.loads(short_scenario.read_text())
         raw["trials"] = 10**30  # no seeds: the trial seeds are range(trials), never a list

@@ -16,6 +16,7 @@ from fritpid.frit import (
     frit_cost,
     regressor_samples,
 )
+from fritpid.lti import RationalFilter, ReferenceModel
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
 
@@ -127,14 +128,19 @@ class TestBatchTune:
         with pytest.raises(RankDeficientError):
             batch_tune(data, gm_default)
 
-    def test_regressor_samples_match_per_sample_loop(self, gm_default):
+    @pytest.mark.parametrize("gm", [
+        ReferenceModel.first_order(TS),
+        ReferenceModel.first_order(TS, tau=0.5, discretization="zoh"),
+        ReferenceModel(RationalFilter([0.0, 0.005, 0.004], [1.0, -1.6, 0.64])),
+    ], ids=["euler", "zoh", "order2"])
+    def test_regressor_samples_match_per_sample_loop(self, gm_default, gm):
         data = matched_loop_data(THETA_STAR, n=1000, gm=gm_default)
-        gen = RegressorGenerator(gm_default.filter, data.ts)
+        gen = RegressorGenerator(gm.filter, data.ts)
         ref_phis = np.empty((len(data), 3))
         ref_ds = np.empty(len(data))
         for k in range(len(data)):
             ref_phis[k], ref_ds[k] = gen.step(data.y0[k], data.u0[k])
-        phis, ds = regressor_samples(data, gm_default, skip=0)
+        phis, ds = regressor_samples(data, gm, skip=0)
         assert phis.tobytes() == ref_phis.tobytes()
         assert ds.tobytes() == ref_ds.tobytes()
 

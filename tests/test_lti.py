@@ -214,7 +214,7 @@ def bits(values):
 
 
 class TestOrderSpecializedStep:
-    """Orders 0 and 1 step by an unrolled form; the bits must not change."""
+    """Orders 0, 1 and 2 step by an unrolled form; the bits must not change."""
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_generic_difference_equation(self, order):
@@ -252,13 +252,18 @@ class TestOrderSpecializedStep:
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
                              ids=["deepcopy", "pickle"])
-    def test_deepcopy_and_pickle_carry_the_state(self, clone):
-        f = RationalFilter([0.3, -0.7], [1.5, -0.6])
+    @pytest.mark.parametrize("num, den", [
+        ([0.3], [1.5]),
+        ([0.3, -0.7], [1.5, -0.6]),
+        ([0.3, -0.7, 0.2], [1.5, -0.6, 0.1]),
+    ], ids=["order0", "order1", "order2"])
+    def test_deepcopy_and_pickle_carry_the_state(self, num, den, clone):
+        f = RationalFilter(num, den)
         u = np.random.default_rng(66).standard_normal(40).tolist()
-        ref = reference_run([0.3, -0.7], [1.5, -0.6], u)
+        ref = reference_run(num, den, u)
         head = [f.step(x) for x in u[:15]]
         g = clone(f)
-        assert isinstance(g, RationalFilter)
+        assert type(g) is type(f) is not RationalFilter
         tail = [g.step(x) for x in u[15:]]
         assert np.array_equal(bits(head + tail), bits(ref))
         assert np.array_equal(bits([f.step(x) for x in u[15:]]), bits(ref[15:]))
