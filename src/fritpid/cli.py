@@ -66,8 +66,8 @@ def _cmd_run(args) -> int:
         raise NotADirectoryError(f"--out {outdir}: {existing} is not a directory")
     if args.save_dataset:
         dataset = Path(args.save_dataset)
-        if dataset.is_dir():
-            raise IsADirectoryError(f"--save-dataset {dataset} is a directory")
+        if dataset.is_dir() or dataset.with_suffix(".json").is_dir():
+            raise IsADirectoryError(f"--save-dataset {dataset} or its .json sidecar is a directory")
         if not (dataset.parent.is_dir() or dataset.parent.resolve() == outdir.resolve()):
             raise FileNotFoundError(f"--save-dataset {dataset}: no directory {dataset.parent}")
     t0 = time.perf_counter()

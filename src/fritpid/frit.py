@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import PidBasis, as_gains, pid_filter
-from .csvio import INTEGER, read_columns, write_columns
+from .csvio import read_columns, write_columns
 from .lti import ReferenceModel, one_minus
 
 PROPERNESS_TOL = 1e-9
@@ -80,7 +80,7 @@ class ClosedLoopDataset:
             path,
             ("k", "r", "u", "y"),
             (np.arange(len(self)), self.r, self.u0, self.y0),
-            (INTEGER, repr, repr, repr),
+            ("%d", "%r", "%r", "%r"),
         )
         path.with_suffix(".json").write_text(json.dumps({"ts": self.ts}) + "\n")
 

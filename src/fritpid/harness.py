@@ -21,7 +21,7 @@ import numpy as np
 
 from .adaptive import Estimator, NumericalBreakdownError, RegressorGenerator
 from .controller import PidController, as_gains
-from .csvio import INTEGER, read_columns, write_columns
+from .csvio import read_columns, write_columns
 from .lti import RationalFilter, ReferenceModel
 from .plant import BoucWenParams, BoucWenPlant, LtiPlant
 
@@ -310,7 +310,7 @@ class RunTrace:
             path,
             TRACE_COLUMNS,
             [self.columns[c] for c in TRACE_COLUMNS],
-            [INTEGER] + [repr] * (len(TRACE_COLUMNS) - 2) + [INTEGER],
+            ["%d"] + ["%r"] * (len(TRACE_COLUMNS) - 2) + ["%d"],
         )
 
     @classmethod

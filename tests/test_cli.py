@@ -250,8 +250,9 @@ class TestRun:
         ("out", "no/such/dir/x.csv"),
         ("out", "out/sub/x.csv"),
         ("out", "."),
+        ("out", "x.csv"),
     ], ids=["out-is-a-file", "out-under-a-file", "dataset-dir-missing",
-            "dataset-dir-under-out", "dataset-is-a-directory"])
+            "dataset-dir-under-out", "dataset-is-a-directory", "sidecar-is-a-directory"])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                    out, dataset):
         def no_step(*args):
@@ -259,12 +260,13 @@ class TestRun:
 
         monkeypatch.setattr(PidController, "step", no_step)
         (tmp_path / "taken").write_text("")
+        (tmp_path / "x.json").mkdir()  # the sidecar of x.csv
         argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
         if dataset:
             argv += ["--save-dataset", str(tmp_path / dataset)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --")
-        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "x.json"]
         assert (tmp_path / "taken").read_text() == ""
 
     def test_dataset_may_go_into_the_out_directory_it_creates(self, tmp_path, short_scenario):
@@ -318,6 +320,20 @@ class TestRun:
         assert code == 0
         assert ds.exists()
         assert ds.with_suffix(".json").exists()
+
+    def test_dataset_fields_match_trace_fields(self, tmp_path, short_scenario):
+        ds = tmp_path / "run_data.csv"
+        assert main(["run", str(short_scenario), "--out", str(tmp_path),
+                     "--save-dataset", str(ds)]) == 0
+
+        def fields(path):
+            lines = path.read_bytes().split(b"\r\n")
+            index = [lines[0].split(b",").index(c) for c in (b"k", b"r", b"u", b"y")]
+            return [[row.split(b",")[i] for i in index] for row in lines[1:-1]]
+
+        trace = fields(tmp_path / "short_trace.csv")
+        assert len(trace) == 600
+        assert fields(ds) == trace
 
 
 class TestTune:

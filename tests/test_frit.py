@@ -182,6 +182,22 @@ class TestCsvRoundTrip:
         assert written == (tmp_path / "ref.csv").read_bytes()
         assert b"\r\n1,1.5e+16,-1e-05," in written
 
+    @pytest.mark.parametrize("n", [2, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS])
+    def test_stepped_reference_bytes_match_reference_writer(self, tmp_path, n):
+        # r is 1.0 over chunk 1, -0.0 then 0.0 over chunk 2 and 2.0 over chunk 3;
+        # u mixes 0.0 and -0.0 over chunk 1; k is an int64 column
+        data = matched_loop_data(THETA_STAR, n=n)
+        data.r[:] = np.repeat([1.0, 1.0, -0.0, 0.0, 2.0, 2.0], CHUNK_ROWS // 2)[:n]
+        data.u0[: CHUNK_ROWS + 1] = np.where(np.arange(CHUNK_ROWS + 1) % 3 == 1, -0.0, 0.0)[:n]
+        data.save(tmp_path / "new.csv")
+        reference_dataset_csv(data, tmp_path / "ref.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert written.split(b"\r\n")[-2].startswith(b"%d," % (n - 1))
+        loaded = ClosedLoopDataset.load(tmp_path / "new.csv")
+        for col in ("u0", "y0", "r"):
+            assert getattr(loaded, col).tobytes() == getattr(data, col).tobytes()
+
     def test_save_load(self, tmp_path):
         data = awkward_dataset()
         data.save(tmp_path / "d.csv")

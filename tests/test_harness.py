@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fritpid.adaptive import RegressorGenerator
+from fritpid.csvio import CHUNK_ROWS
 from fritpid.harness import (
     TRACE_BLOCK,
     TRACE_COLUMNS,
@@ -362,6 +363,46 @@ def reference_trace_csv(trace, path):
             )
 
 
+def synthetic_trace(n, **columns):
+    """An n-row trace of seeded values, with the given columns in place of those."""
+    rng = np.random.default_rng(n)
+    cols = {c: rng.standard_normal(n) for c in TRACE_COLUMNS}
+    cols["k"] = np.arange(n, dtype=float)
+    cols["t"] = cols["k"] * 0.01
+    cols["deadzone"] = (cols["deadzone"] > 0).astype(float)
+    cols.update(columns)
+    return RunTrace(cols, (0.0, math.inf), "synthetic", 0)
+
+
+def mixed_nans(n):
+    """NaN everywhere, with the sign bit set on every other row."""
+    x = np.full(n, np.nan)
+    x[::2] = -x[::2]
+    return x
+
+
+C = CHUNK_ROWS
+WRITER_EDGE_CASES = {
+    "one-row": lambda: synthetic_trace(1),
+    "one-chunk": lambda: synthetic_trace(C),
+    "chunk-plus-one": lambda: synthetic_trace(C + 1),
+    # r: constant over chunk 1, a step inside chunk 2, constant over chunk 3
+    "constant-then-varying": lambda: synthetic_trace(
+        3 * C, r=np.repeat([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], C // 2),
+        kp=np.r_[np.full(C, 0.5), np.arange(2.0 * C)],
+    ),
+    # u mixes 0.0 and -0.0 in each chunk; e is 0.0 over chunk 1, -0.0 over chunk 2
+    "signed-zeros": lambda: synthetic_trace(
+        C + 2, u=np.where(np.arange(C + 2) % 3 == 1, -0.0, 0.0),
+        e=np.r_[np.zeros(C), -0.0, -0.0],
+    ),
+    "all-nan": lambda: synthetic_trace(C + 1, pmin=np.full(C + 1, np.nan), pmax=mixed_nans(C + 1)),
+    "every-column-constant": lambda: synthetic_trace(
+        C + 1, **{c: np.full(C + 1, float(i)) for i, c in enumerate(TRACE_COLUMNS)},
+    ),
+}
+
+
 class TestTraceIo:
     def test_csv_round_trip(self, tmp_path):
         trace = run_scenario(identity_plant_config(), seed=0)
@@ -388,6 +429,17 @@ class TestTraceIo:
         trace.save_csv(tmp_path / "new.csv")
         reference_trace_csv(trace, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", WRITER_EDGE_CASES)
+    def test_edge_case_bytes_match_reference_writer(self, tmp_path, case):
+        trace = WRITER_EDGE_CASES[case]()
+        trace.save_csv(tmp_path / "new.csv")
+        reference_trace_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        loaded = RunTrace.load_csv(tmp_path / "new.csv")
+        for col in TRACE_COLUMNS:
+            if not np.isnan(trace[col]).any():  # every NaN is written as "nan"
+                assert loaded[col].tobytes() == trace[col].tobytes()
 
     def test_header_order(self, tmp_path):
         trace = run_scenario(identity_plant_config(), seed=0)
