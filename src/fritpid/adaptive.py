@@ -19,10 +19,10 @@ rules for R:
   (Salgado, Goodwin & Middleton 1988), which pulls R toward the floor
   R_inf = r_inf*I.
 
-Each rule keeps P and R an inverse pair: noforget/ef update P by a
-Sherman-Morrison step, df and er re-solve P = R^-1 with the one scale-safe
-inverse, which also tests that R is positive definite.  The rule is picked
-once, when the estimator is built.
+A rule only forms the new R.  Every mode then re-solves P = R^-1 with the
+one scale-safe inverse, which also tests that R is positive definite, and
+takes the gain step k = P phi.  The rule is picked once, when the estimator
+is built.
 
 The per-step arithmetic is written out on Python floats: a symmetric 3x3
 matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
@@ -139,12 +139,13 @@ class Estimator:
     """Recursive least squares over the information matrix R.
 
     ``mode`` picks the R-update rule (noforget | ef | df | er, see the module
-    docstring); the sample check, the residual, the gain step and the
-    diagnostics are shared.  R(0) = r0*I for a positive scalar r0 and
-    P(0) = R(0)^-1 in every mode.  ``noforget`` forces
-    mu = 1.  Only ``df`` applies the deadzone ``epsilon``: a sample with
-    ||phi|| <= epsilon is skipped and theta, P and R are left bit-identical.
-    Only ``er`` uses the floor ``r_inf*I``, which needs r0 >= r_inf.
+    docstring); the sample check, the residual, the inverse P = R^-1, the gain
+    step and the diagnostics are shared.  R(0) = r0*I for a positive scalar r0
+    and P(0) = R(0)^-1 in every mode.  ``noforget`` forces mu = 1.  Only
+    ``df`` applies the deadzone ``epsilon``: a sample with ||phi|| <= epsilon
+    is skipped and theta, P and R are left bit-identical.  Only ``er`` uses
+    the floor ``r_inf*I``, which needs r0 >= r_inf.  An update that raises
+    leaves theta, P and R unchanged.
 
     ``theta``, ``P``, ``R`` and ``R_inf`` are numpy snapshots: a fresh array
     on every read, so writing into one does not change the estimator.
@@ -169,6 +170,8 @@ class Estimator:
         self._r_inf = _positive_scalar(r_inf, "r_inf")
         if mode == "er" and r0 < self._r_inf:
             raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
+        # R_inf is r_inf*I, so er's floor (1 - mu) R_inf adds to the diagonal only
+        self._floor = (1.0 - self.mu) * self._r_inf if mode == "er" else 0.0
         self._R = (r0, 0.0, 0.0, r0, 0.0, r0)
         self._P = _inverse(self._R)
         self.deadzone_active = False
@@ -213,39 +216,29 @@ class Estimator:
             self.deadzone_active = sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
             if self.deadzone_active:
                 return ehat
+        R = self._rule(self, f0, f1, f2)
+        P = p00, p01, p02, p11, p12, p22 = _inverse(R)
         # the gain step uses the P already updated for this sample: k = P phi
-        k0, k1, k2 = self._rule(self, f0, f1, f2)
-        t0, t1, t2 = t0 - ehat * k0, t1 - ehat * k1, t2 - ehat * k2
+        t0 = t0 - ehat * (p00 * f0 + p01 * f1 + p02 * f2)
+        t1 = t1 - ehat * (p01 * f0 + p11 * f1 + p12 * f2)
+        t2 = t2 - ehat * (p02 * f0 + p12 * f1 + p22 * f2)
         if not (isfinite(t0) and isfinite(t1) and isfinite(t2)):
             raise NumericalBreakdownError(f"gain step gave non-finite theta {[t0, t1, t2]}")
-        self._theta = (t0, t1, t2)
+        self._theta, self._P, self._R = (t0, t1, t2), P, R
         return ehat
 
     def eigenvalues(self) -> tuple[float, float]:
         """(min, max) eigenvalues of the covariance matrix."""
         return _eigen_bounds(*self._P)
 
-    def _rls(self, f0, f1, f2):
-        # noforget (mu = 1) and ef: R <- mu R + phi phi^T
-        mu = self.mu
-        p00, p01, p02, p11, p12, p22 = self._P
-        g0 = p00 * f0 + p01 * f1 + p02 * f2
-        g1 = p01 * f0 + p11 * f1 + p12 * f2
-        g2 = p02 * f0 + p12 * f1 + p22 * f2
-        denom = mu + (f0 * g0 + f1 * g1 + f2 * g2)
-        if not denom > 0.0:
-            raise NumericalBreakdownError(f"gain denominator {denom} is not positive")
-        self._P = (
-            (p00 - g0 * g0 / denom) / mu, (p01 - g0 * g1 / denom) / mu,
-            (p02 - g0 * g2 / denom) / mu, (p11 - g1 * g1 / denom) / mu,
-            (p12 - g1 * g2 / denom) / mu, (p22 - g2 * g2 / denom) / mu,
-        )
+    def _exponential(self, f0, f1, f2):
+        # noforget (mu = 1), ef (floor 0) and er: R <- mu R + (1-mu) R_inf + phi phi^T
+        mu, floor = self.mu, self._floor
         r00, r01, r02, r11, r12, r22 = self._R
-        self._R = (
-            mu * r00 + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
-            mu * r11 + f1 * f1, mu * r12 + f1 * f2, mu * r22 + f2 * f2,
+        return (
+            mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
+            mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
         )
-        return g0 / denom, g1 / denom, g2 / denom
 
     def _df(self, f0, f1, f2):
         mu = self.mu
@@ -258,30 +251,13 @@ class Estimator:
             raise DenominatorUnderflowError(f"phi^T R phi = {a}")
         # forget the rank-one slice of R along phi, then add the new sample
         c = (1.0 - mu) / a
-        R = (
+        return (
             r00 - c * (h0 * h0) + f0 * f0, r01 - c * (h0 * h1) + f0 * f1,
             r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
             r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
         )
-        self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
-        self._R = R
-        return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
-                p02 * f0 + p12 * f1 + p22 * f2)
 
-    def _er(self, f0, f1, f2):
-        mu = self.mu
-        floor = (1.0 - mu) * self._r_inf  # R_inf is r_inf*I: only the diagonal moves
-        r00, r01, r02, r11, r12, r22 = self._R
-        R = (
-            mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
-            mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
-        )
-        self._P = p00, p01, p02, p11, p12, p22 = _inverse(R)
-        self._R = R
-        return (p00 * f0 + p01 * f1 + p02 * f2, p01 * f0 + p11 * f1 + p12 * f2,
-                p02 * f0 + p12 * f1 + p22 * f2)
-
-    _RULES = {"noforget": _rls, "ef": _rls, "df": _df, "er": _er}
+    _RULES = {"noforget": _exponential, "ef": _exponential, "df": _df, "er": _exponential}
 
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,13 +173,19 @@ class TestDirectionalForgetting:
         assert np.array_equal(est.R, R)
 
     def test_mu_one_matches_plain_rls(self):
+        # with mu = 1 every rule's R' is R + phi phi^T, so all four modes agree to the bit
         rng = np.random.default_rng(45)
-        df = DirectionalForgettingRls([0.0, 0.0, 0.0], r0=0.01, mu=1.0, epsilon=0.0)
-        rls = RlsEstimator([0.0, 0.0, 0.0], p0=100.0, mu=1.0)
+        rls, *others = [
+            Estimator(mode, [0.0, 0.0, 0.0], mu=1.0, epsilon=0.0, r0=0.01, r_inf=0.01)
+            for mode in ("noforget", "ef", "df", "er")
+        ]
         for phi, d in random_stream(rng, 500):
-            df.update(phi, d)
             rls.update(phi, d)
-            assert np.max(np.abs(df.theta - rls.theta)) < 1e-9
+            for est in others:
+                est.update(phi, d)
+                assert np.array_equal(est.theta, rls.theta), est.mode
+                assert np.array_equal(est.P, rls.P), est.mode
+                assert np.array_equal(est.R, rls.R), est.mode
 
     def test_constant_regressor_preserves_orthogonal_information(self):
         est = DirectionalForgettingRls([0.0, 0.0, 0.0], r0=0.01, mu=0.9)
@@ -370,16 +377,22 @@ class TestBreakdown:
         with pytest.raises(NumericalBreakdownError):
             est.update([1e160, 0.0, 0.0], 0.0)
 
-    @pytest.mark.parametrize("mode", ["df", "er"])
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
     def test_breakdown_leaves_state_unchanged(self, mode):
-        # phi_0^2 overflows R's diagonal, so the inverse rejects the new R
-        est = Estimator(mode, [0.1, 0.2, 0.3], r0=1.0, r_inf=1.0)
-        est.update([0.5, -0.25, 1.0], 0.1)
-        before = est.theta, est.P, est.R
-        with pytest.raises(SingularInformationError):
-            est.update([1e160, 0.0, 0.0], 0.0)
-        for old, new in zip(before, (est.theta, est.P, est.R)):
-            assert np.array_equal(old, new)
+        cases = [
+            # phi_0^2 overflows R's diagonal, so the inverse rejects the new R
+            ([0.1, 0.2, 0.3], [1e160, 0.0, 0.0], SingularInformationError),
+            # R' and P' are fine, but the residual overflows and so does theta
+            ([1e300, 0.0, 0.0], [1e10, 0.0, 0.0], NumericalBreakdownError),
+        ]
+        for theta0, phi, error in cases:
+            est = Estimator(mode, theta0, r0=1.0, r_inf=1.0)
+            est.update([0.5, -0.25, 1.0], 0.1)
+            before = est.theta, est.P, est.R
+            with pytest.raises(error):
+                est.update(phi, 0.0)
+            for old, new in zip(before, (est.theta, est.P, est.R)):
+                assert np.array_equal(old, new)
 
 
 class TestInverse:
@@ -401,11 +414,12 @@ class TestLongHorizonDuality:
             est.update(phi, d)
             assert np.linalg.norm(est.P @ est.R - I3) < 1e-6
 
-    def test_duality_on_closed_loop_replay(self):
-        # replay the regressor and estimator of method_comparison (df, seed 0)
-        # from its trace; P R = I must hold along the closed-loop data
-        cfg = ScenarioConfig.from_json("scenarios/method_comparison.json")
-        assert cfg.estimator.mode == "df"
+    @pytest.mark.parametrize("mode", ["noforget", "ef", "df", "er"])
+    def test_duality_on_closed_loop_replay(self, mode):
+        # replay the regressor and estimator of method_comparison (seed 0) from
+        # its trace; P R = I must hold along the closed-loop data in every mode
+        base = ScenarioConfig.from_json("scenarios/method_comparison.json")
+        cfg = replace(base, estimator=replace(base.estimator, mode=mode))
         trace = run_scenario(cfg, seed=0)
         _, _, gm, _, est = cfg.build(0)
         regressor = RegressorGenerator(gm.filter, cfg.ts)
