@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Step cost: pin the opcodes a closed-loop run executes, per estimator mode.
+
+Runs `scenarios/load_change.json` cut to STEPS steps at seed 0 under every
+estimator mode, once untraced as a warm-up and once under `sys.settrace`
+with `f_trace_opcodes`, and counts the opcodes executed in frames whose code
+lives in the `fritpid` package.  Frames of the standard library and numpy
+are not counted, so the totals do not depend on their versions.  The count
+is exact and repeats across runs and `PYTHONHASHSEED` values, but bytecode
+differs between Python minor versions, so `tests/step_cost.json` keeps one
+entry per minor version and `tests/test_step_cost.py` requires equality.
+
+Run from the repo root:
+
+    PYTHONPATH=src python scripts/step_cost.py           # check, exit 1 on a change
+    PYTHONPATH=src python scripts/step_cost.py --write   # record this Python's counts
+
+Record only for an intended change to the loop, and note in CHANGES.md the
+opcodes per step before and after for each mode.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import fritpid
+from fritpid.harness import ESTIMATOR_MODES, ScenarioConfig, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "tests" / "step_cost.json"
+SCENARIO = ROOT / "scenarios" / "load_change.json"
+STEPS = 300
+PACKAGE = os.path.join(os.path.dirname(fritpid.__file__), "")  # with the separator
+
+
+def minor_version() -> str:
+    return "{}.{}".format(*sys.version_info[:2])
+
+
+def count_opcodes(cfg: ScenarioConfig) -> int:
+    """Opcodes that `run_scenario(cfg, seed=0)` executes in fritpid's own frames."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def start(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        run_scenario(cfg, seed=0)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def compute() -> dict:
+    """{mode: opcodes} over STEPS steps of the cut scenario, each after a warm-up run."""
+    base = ScenarioConfig.from_json(SCENARIO)
+    horizon = STEPS * base.ts
+    base = replace(base, duration=horizon, evaluation_window=[0.0, horizon])
+    counts = {}
+    for mode in ESTIMATOR_MODES:
+        cfg = replace(base, estimator=replace(base.estimator, mode=mode))
+        run_scenario(cfg, seed=0)
+        counts[mode] = count_opcodes(cfg)
+    return counts
+
+
+def load() -> dict:
+    return json.loads(PINNED.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"record this Python's counts in {PINNED.relative_to(ROOT)}")
+    args = parser.parse_args(argv)
+    counts = compute()
+    for mode, n in counts.items():
+        print(f"{mode:9s} {n:9d} opcodes  {n / STEPS:10.3f} per step")
+    version = minor_version()
+    if args.write:
+        pinned = load() if PINNED.exists() else {}
+        pinned[version] = counts
+        PINNED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+        print(f"wrote the Python {version} counts to {PINNED}")
+        return 0
+    want = load().get(version)
+    if want is None:
+        print(f"no counts for Python {version}; record them with --write")
+        return 1
+    moved = {mode: (want.get(mode), n) for mode, n in counts.items() if want.get(mode) != n}
+    for mode, (before, after) in moved.items():
+        print(f"{mode}: pinned {before}, counted {after}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

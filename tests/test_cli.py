@@ -231,6 +231,19 @@ class TestRun:
                      "--out", str(table), "--format", "json"]) == 3
         assert not table.exists()
 
+    def test_overflowing_plant_exits_3_naming_the_step(self, tmp_path, capsys):
+        # z ** n overflows in the Bouc-Wen step: a float power raises, it gives no inf
+        raw = json.loads(Path("scenarios/load_change.json").read_text())
+        raw.update(duration=5.0, evaluation_window=[0.0, 5.0])
+        raw["estimator"]["mode"] = "fixed"
+        raw["plant"]["params"] = {"gain": 1e300}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "step 1 (t=0.010s): " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
 

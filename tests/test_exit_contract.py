@@ -3,8 +3,8 @@
 Every input exits 0 (success), 2 (configuration error) or 3 (numerical
 breakdown); no exception escapes `cli.main`.  The inputs are the bundled
 scenarios with one to three of their nodes mutated: a type swap, NaN or an
-infinity, a negation or zero, an empty list, a deletion, or an unknown key
-next to it.  A mutant that breaks the schema's types where the oracle can
+infinity, a negation or zero, a huge or a subnormal number, an empty list, a
+deletion, or an unknown key next to it.  A mutant that breaks the schema's types where the oracle can
 tell for sure (a bool or a numeric string in place of a number, a string in
 place of a list) must exit 2.  An exit 2 writes nothing under `--out`; an
 exit 0 writes a summary with a finite MAE and maxAE.  Each run is capped at
@@ -66,6 +66,8 @@ MUTATIONS = {
     "-inf": lambda v: -math.inf,
     "negated": negated,
     "zero": lambda v: 0,
+    "huge": lambda v: 1e300,
+    "tiny": lambda v: 5e-324,
     "empty list": lambda v: [],
 }
 

@@ -13,7 +13,6 @@ import pytest
 from fritpid.adaptive import RegressorGenerator
 from fritpid.csvio import CHUNK_ROWS
 from fritpid.harness import (
-    TRACE_BLOCK,
     TRACE_COLUMNS,
     ConfigError,
     EstimatorSpec,
@@ -119,6 +118,11 @@ class TestConfig:
             {"reference": {"kind": "staircase", "levels": [1.0, 2.0, 3.0], "interval": 5.0}}
         ).reference.signal()
         assert [sig(t) for t in (0.0, 4.9, 5.0, 12.0, 99.0)] == [1, 1, 2, 3, 3]
+
+    def test_staircase_with_a_subnormal_interval(self):
+        # t // interval overflows to inf after t = 0; the last level holds from there
+        sig = ReferenceSpec(kind="staircase", interval=5e-324).signal()
+        assert (sig(0.0), sig(0.01)) == (20.0, 65.0)
 
 
 def leaf_paths(value, path=()):
@@ -226,16 +230,14 @@ class TestRunScenario:
         assert len(trace) == 4000
 
     @pytest.mark.parametrize("mode", ["fixed", "df"])
-    def test_every_step_of_a_partial_trace_block_is_written(self, mode):
-        # rows are copied into the trace TRACE_BLOCK steps at a time; a run
-        # is a prefix of a longer one whatever its length, block edges included
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, mode):
         cfg = ScenarioConfig.from_json("scenarios/load_change.json")
         cfg.estimator.mode = mode
-        horizon = 2 * TRACE_BLOCK * cfg.ts + 0.05
+        horizon = 131 * cfg.ts + 0.05
         long = run_scenario(
             replace(cfg, duration=horizon, evaluation_window=[0.0, horizon]), seed=3
         )
-        for n in (1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 3):
+        for n in (1, 63, 64, 65, 131):
             horizon = n * cfg.ts
             short = run_scenario(
                 replace(cfg, duration=horizon, evaluation_window=[0.0, horizon]), seed=3
