@@ -258,6 +258,7 @@ class Estimator:
         )
 
     _RULES = {"noforget": _exponential, "ef": _exponential, "df": _df, "er": _exponential}
+    MODES = tuple(_RULES)  # the adaptive modes, in table order
 
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:

@@ -20,8 +20,9 @@ import time
 from pathlib import Path
 
 from .adaptive import NumericalBreakdownError
-from .frit import ClosedLoopDataset, RankDeficientError, batch_tune, frit_cost
+from .frit import ClosedLoopDataset, batch_tune, frit_cost
 from .harness import (
+    ESTIMATOR_MODES,
     ConfigError,
     GmSpec,
     ScenarioConfig,
@@ -131,9 +132,7 @@ def _cmd_compare(args) -> int:
         if not cfgs:
             raise ConfigError(f"no scenario JSON files in {path}")
     else:
-        base = ScenarioConfig.from_json(path)
-        methods = args.methods.split(",") if args.methods else None
-        cfgs = method_variants(base, methods) if methods else method_variants(base)
+        cfgs = method_variants(ScenarioConfig.from_json(path), args.methods.split(","))
     rows = compare_methods(cfgs)
     _print_table(rows)
     if args.out:
@@ -173,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="compare estimator methods")
     p_cmp.add_argument("scenario", help="scenario JSON, or a directory of them")
-    p_cmp.add_argument("--methods", default=None,
-                       help="comma list from fixed,noforget,ef,df,er")
+    p_cmp.add_argument("--methods", default=",".join(ESTIMATOR_MODES),
+                       help="comma list of estimator modes (default: %(default)s)")
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cmp.set_defaults(func=_cmd_compare)
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalBreakdownError, RankDeficientError) as exc:
+    except NumericalBreakdownError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adaptive import NumericalBreakdownError
 from .controller import PidBasis, as_gains, pid_filter
 from .csvio import read_columns, write_columns
 from .lti import ReferenceModel, one_minus
@@ -40,9 +41,9 @@ class UnstableInverseWarning(UserWarning):
     reference is still returned but may grow along the record."""
 
 
-class RankDeficientError(RuntimeError):
-    """The regressor normal matrix is (near-)singular: the experiment does
-    not carry enough information to tune three gains."""
+class RankDeficientError(NumericalBreakdownError):
+    """The regressor normal matrix is (near-)singular or overflows: the
+    experiment does not carry enough information to tune three gains."""
 
 
 @dataclass
@@ -126,7 +127,8 @@ def frit_cost(theta, data: ClosedLoopDataset, gm: ReferenceModel) -> float:
     resid = data.y0[TRANSIENT_SKIP:] - ref[TRANSIENT_SKIP:]
     if not np.all(np.isfinite(resid)):
         return math.inf
-    return float(resid @ resid)
+    with np.errstate(over="ignore"):  # a finite residual whose squares overflow costs inf
+        return float(resid @ resid)
 
 
 def regressor_samples(
@@ -144,7 +146,10 @@ def batch_tune(
 ) -> np.ndarray:
     """Gains minimizing the convex surrogate, by normal equations."""
     phis, ds = regressor_samples(data, gm, skip=skip)
-    A = phis.T @ phis
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = phis.T @ phis
+    if not np.isfinite(A).all():  # before cond, whose LAPACK call would complain on fd 2
+        raise RankDeficientError("regressor normal matrix is not finite")
     if np.linalg.cond(A) >= CONDITION_LIMIT:
         raise RankDeficientError(
             "regressor normal matrix is ill-conditioned: data is not informative"

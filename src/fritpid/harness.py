@@ -30,7 +30,7 @@ TRACE_COLUMNS = [
     "kp", "ki", "kd", "pmin", "pmax", "deadzone",
 ]
 
-ESTIMATOR_MODES = ("fixed", "noforget", "ef", "df", "er")
+ESTIMATOR_MODES = ("fixed", *Estimator.MODES)
 
 # cap on round(duration / ts): the trace holds 13 float64 = 104 B per step,
 # so the cap keeps it at 1.04 GB or less
@@ -87,8 +87,9 @@ class ReferenceSpec:
     levels: list[float] = field(default_factory=lambda: [20.0, 35.0, 50.0, 65.0])
     interval: float = 20.0
 
-    def signal(self):
-        """The reference r(t) as a function of t; checks the values first."""
+    def signal(self, duration: float):
+        """The reference r(t) on [0, duration] as a function of t; checks the values
+        first, so that r(t) is finite there."""
         amplitude, offset, frequency, period, interval = (
             self.amplitude, self.offset, self.frequency, self.period, self.interval)
         levels = list(self.levels)
@@ -96,8 +97,14 @@ class ReferenceSpec:
             raise ConfigError(f"reference values must be finite, got {self}")
         if self.kind == "constant":
             return lambda t: offset
+        if self.kind in ("sine", "square") and not math.isfinite(abs(offset) + abs(amplitude)):
+            raise ConfigError(f"{self.kind} reference |offset| + |amplitude| overflows, "
+                              f"got offset={offset:.6g}, amplitude={amplitude:.6g}")
         if self.kind == "sine":
             w = 2.0 * math.pi * frequency
+            if not math.isfinite(w * duration):
+                raise ConfigError(f"sine reference 2*pi*frequency*duration overflows, "
+                                  f"got frequency={frequency:.6g}, duration={duration:.6g}")
             return lambda t: offset + amplitude * math.sin(w * t)
         if self.kind == "square":
             if not 0.0 < period < math.inf:
@@ -224,9 +231,7 @@ class ScenarioConfig:
         seed = seeds[0] if seed is None else seed
         if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-        if self.estimator.mode not in ESTIMATOR_MODES:
-            raise ConfigError(f"unknown estimator mode {self.estimator.mode!r}")
-        reference = self.reference.signal()
+        reference = self.reference.signal(self.duration)
         try:
             section = "gm"
             gm = self.gm.build(self.ts)

@@ -27,36 +27,30 @@ class RationalFilter:
     """Stateful SISO filter num(z^-1)/den(z^-1); num and den are sequences."""
 
     def __new__(cls, num=None, den=None):
-        # orders 0-2 (the PID basis, first-order reference models, pid_filter
-        # with kd != 0 and its inverse) get subclasses that unroll the step:
-        # the generic loop's operations in the same order, so the same bits.
-        # deepcopy and pickle call __new__ bare and keep the class they clone.
-        if cls is RationalFilter and den is not None:
-            n = max(len(_trim([float(c) for c in num] or [0.0])),
-                    len(_trim([float(c) for c in den])))
-            cls = _UNROLLED.get(n, cls)
-        return super().__new__(cls)
-
-    def __init__(self, num, den):
+        if num is None and den is None:  # deepcopy and pickle: an empty instance of cls
+            return super().__new__(cls)
         num = [float(c) for c in num]
         den = [float(c) for c in den]
         if not all(map(math.isfinite, num + den)):
             raise ValueError(f"filter coefficients must be finite, got num={num}, den={den}")
         if not den or den[0] == 0.0:
             raise ValueError("den[0] must be nonzero for a causal realization")
-        if not num:
-            num = [0.0]
-        self.num = _trim(num)
-        self.den = _trim(den)
+        num, den = _trim(num or [0.0]), _trim(den)
+        n = max(len(num), len(den))
+        # orders 0-2 (the PID basis, first-order reference models, pid_filter
+        # with kd != 0 and its inverse) get subclasses that unroll the step:
+        # the generic loop's operations in the same order, so the same bits
+        self = super().__new__(_UNROLLED.get(n, cls) if cls is RationalFilter else cls)
+        self.num, self.den = num, den
         # normalized copies used by the difference equation, padded to equal length
-        n = max(len(self.num), len(self.den))
-        a0 = self.den[0]
-        self._b = [c / a0 for c in self.num] + [0.0] * (n - len(self.num))
-        self._a = [c / a0 for c in self.den] + [0.0] * (n - len(self.den))
+        a0 = den[0]
+        self._b = [c / a0 for c in num] + [0.0] * (n - len(num))
+        self._a = [c / a0 for c in den] + [0.0] * (n - len(den))
         self._w = [0.0] * (n - 1)
         if n <= 3:  # the coefficients the unrolled steps read, zero-padded
             self._b0, self._b1, self._b2 = self._b + [0.0] * (3 - n)
             _, self._a1, self._a2 = self._a + [0.0] * (3 - n)
+        return self
 
     @property
     def order(self) -> int:
@@ -161,7 +155,7 @@ class ReferenceModel:
         mags = [abs(p) for p in filt.poles()]
         if mags and max(mags) >= 1.0:
             raise ValueError(
-                f"reference model has pole magnitude {max(mags):.6f} >= 1"
+                f"reference model has pole magnitude {max(mags):.6g} >= 1"
             )
         self.filter = filt
 

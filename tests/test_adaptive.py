@@ -6,6 +6,7 @@ import pytest
 
 from fritpid import adaptive
 from fritpid.adaptive import (
+    DenominatorUnderflowError,
     DirectionalForgettingRls,
     Estimator,
     ExponentialResettingRls,
@@ -394,6 +395,14 @@ class TestBreakdown:
             for old, new in zip(before, (est.theta, est.P, est.R)):
                 assert np.array_equal(old, new)
 
+    def test_df_denominator_underflow_leaves_state_bit_identical(self):
+        # epsilon = 0 lets ||phi|| = 1e-160 past the deadzone; phi^T R phi = 1e-322
+        est = Estimator("df", [0.1, 0.2, 0.3], epsilon=0.0, r0=0.01)
+        before = [a.tobytes() for a in (est.theta, est.P, est.R)]
+        with pytest.raises(DenominatorUnderflowError, match="phi\\^T R phi"):
+            est.update([1e-160, 0.0, 0.0], 0.0)
+        assert [a.tobytes() for a in (est.theta, est.P, est.R)] == before
+
 
 class TestInverse:
     def test_positive_diagonal_and_determinant_but_indefinite(self):
@@ -437,6 +446,11 @@ class TestEigenBounds:
 
     def test_diagonal(self):
         assert symmetric_eigen_bounds(np.diag([1.0, 2.0, 3.0])) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            symmetric_eigen_bounds(np.ones(shape))
 
     def test_against_characteristic_polynomial_roots(self):
         rng = np.random.default_rng(54)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,7 @@ class TestRun:
             pytest.param("gm", {"tau": math.nan}, id="gm-tau-nan"),
             pytest.param("gm", {"tau": math.inf}, id="gm-tau-inf"),
             pytest.param("gm", {"num": [0.0, math.nan], "den": [1.0, -0.99]}, id="gm-num-nan"),
+            pytest.param("gm", {"num": [0.0, 0.01]}, id="gm-num-without-den"),
             pytest.param("plant", {"num": [0.0, math.nan]}, id="lti-num-nan"),
             pytest.param("plant", {"den": [1.0, -math.inf]}, id="lti-den-inf"),
             # misspelled keys and schedules that would fail only when they fire
@@ -149,6 +153,7 @@ class TestRun:
             # checks that used to run only when a run started
             pytest.param("reference", {"kind": "ramp"}, id="reference-unknown-kind"),
             pytest.param(None, {"trials": 3, "seeds": [0]}, id="fewer-seeds-than-trials"),
+            pytest.param(None, {"seeds": [-1]}, id="seeds-negative-entry"),
             pytest.param(None, {"name": None}, id="name-null"),
             pytest.param(None, {"name": ""}, id="name-empty"),
         ],
@@ -200,6 +205,30 @@ class TestRun:
         assert main(["run", path, "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("reference, field", [
+        ({"kind": "sine", "frequency": 1e308}, "frequency"),
+        # 2*pi*frequency is finite, but w*t overflows at t = 28.6 s of the 80 s run
+        ({"kind": "sine", "frequency": 1e307}, "frequency"),
+        ({"kind": "sine", "amplitude": 1e308, "offset": 1e308}, "amplitude"),
+        ({"kind": "square", "amplitude": 1e308, "offset": 1e308, "period": 40.0}, "amplitude"),
+    ], ids=["sine-frequency", "sine-frequency-times-duration", "sine-amplitude-offset",
+            "square-amplitude-offset"])
+    def test_overflowing_reference_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
+                                                         reference, field):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(PidController, "step", no_step)
+        raw = json.loads(Path("scenarios/matched_lti.json").read_text())
+        raw["reference"] = reference
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario, edit", [
         ("matched_lti", {"duration": 1.0, "ts": 0.3, "evaluation_window": [0.7, 1.0]}),
@@ -401,6 +430,19 @@ class TestTune:
         flat.save(path)
         assert main(["tune", str(path)]) == 3
 
+    def test_overflowing_normal_matrix_exits_3_with_one_line(self, tmp_path):
+        # LAPACK's complaints go to file descriptor 2, so run a real process
+        data = matched_loop_data(THETA_STAR, n=500)
+        data.y0 *= 1e300
+        path = tmp_path / "huge.csv"
+        data.save(path)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "fritpid", "tune", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 3
+        assert done.stderr == "numerical breakdown: regressor normal matrix is not finite\n"
+
 
 class TestSweepAndCompare:
     def test_sweep_writes_table(self, tmp_path, short_scenario, capsys):
@@ -441,6 +483,11 @@ class TestSweepAndCompare:
         code = main(["compare", str(short_scenario.parent)])
         assert code == 0
         assert "mae_median" in capsys.readouterr().out
+
+    def test_compare_directory_without_scenarios_exits_2(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("")
+        assert main(["compare", str(tmp_path)]) == 2
+        assert "no scenario JSON files" in capsys.readouterr().err
 
     def test_compare_directory_checks_every_file_before_running(
         self, tmp_path, short_scenario, monkeypatch

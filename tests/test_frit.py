@@ -1,11 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from conftest import TS, matched_loop_data
 from fritpid.adaptive import RegressorGenerator, RlsEstimator
-from fritpid.csvio import CHUNK_ROWS
+from fritpid.csvio import CHUNK_ROWS, read_columns
 from fritpid.frit import (
     ClosedLoopDataset,
     InverseNotProperError,
@@ -87,6 +88,14 @@ class TestCost:
             )
             theta = rng.uniform(0.05, 0.5, size=3)
             assert frit_cost(theta, data, gm_default) >= 0.0
+
+    @pytest.mark.parametrize("u0", [1e308, 1e170], ids=["residual-inf", "square-overflows"])
+    def test_overflowing_residual_costs_inf(self, gm_default, u0):
+        # a pure-gain controller kp = 1e-3 inverts u0 to r_tilde = 1000 u0
+        data = matched_loop_data(THETA_STAR, n=100)
+        huge = ClosedLoopDataset(u0=np.full(100, u0), y0=data.y0, r=data.r, ts=TS)
+        with np.errstate(all="raise"):
+            assert frit_cost([1e-3, 0.0, 0.0], huge, gm_default) == math.inf
 
     def test_optimum_not_worse_than_start(self, gm_default):
         data = matched_loop_data(THETA_STAR, gm=gm_default)
@@ -174,6 +183,11 @@ def awkward_dataset():
 
 
 class TestCsvRoundTrip:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("k,r,u,y\r\n\r\n0,1,2,3\r\n\r\n1,4,5,6\r\n\r\n", newline="")
+        assert read_columns(path, ["y", "r"]) == [[3.0, 6.0], [1.0, 4.0]]
+
     def test_bytes_match_reference_writer(self, tmp_path):
         data = awkward_dataset()
         data.save(tmp_path / "new.csv")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fritpid.adaptive import RegressorGenerator
 from fritpid.csvio import CHUNK_ROWS
@@ -27,6 +29,9 @@ from fritpid.harness import (
     run_scenario,
 )
 from fritpid.lti import ReferenceModel
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 TS = 0.01
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,19 +115,37 @@ class TestConfig:
         ]:
             sig = ScenarioConfig.from_dict(
                 {"reference": dict(kind=kind, **kw)}
-            ).reference.signal()
+            ).reference.signal(80.0)
             assert np.isfinite(sig(0.0)) and np.isfinite(sig(7.3))
 
     def test_staircase_levels_and_clamp(self):
         sig = ScenarioConfig.from_dict(
             {"reference": {"kind": "staircase", "levels": [1.0, 2.0, 3.0], "interval": 5.0}}
-        ).reference.signal()
+        ).reference.signal(80.0)
         assert [sig(t) for t in (0.0, 4.9, 5.0, 12.0, 99.0)] == [1, 1, 2, 3, 3]
 
     def test_staircase_with_a_subnormal_interval(self):
         # t // interval overflows to inf after t = 0; the last level holds from there
-        sig = ReferenceSpec(kind="staircase", interval=5e-324).signal()
+        sig = ReferenceSpec(kind="staircase", interval=5e-324).signal(80.0)
         assert (sig(0.0), sig(0.01)) == (20.0, 65.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        kind=st.sampled_from(["constant", "sine", "square", "staircase"]),
+        amplitude=FINITE, offset=FINITE, frequency=FINITE, period=FINITE,
+        levels=st.lists(FINITE, max_size=3), interval=FINITE,
+        duration=POSITIVE, ts_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_every_reference_that_loads_is_finite(self, kind, amplitude, offset, frequency,
+                                                  period, levels, interval, duration,
+                                                  ts_fraction):
+        spec = ReferenceSpec(kind, amplitude, offset, frequency, period, levels, interval)
+        try:
+            sig = spec.signal(duration)
+        except ConfigError:
+            return
+        for t in (0.0, ts_fraction * duration, duration):
+            assert math.isfinite(sig(t)), (t, sig(t))
 
 
 def leaf_paths(value, path=()):

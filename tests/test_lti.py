@@ -15,6 +15,19 @@ def random_filter(rng, order=2):
 
 
 class TestConstruction:
+    def test_empty_numerator_is_the_zero_filter(self):
+        f = RationalFilter([], [1.0])
+        assert (f.num, f.den, f.order) == ([0.0], [1.0], 0)
+        assert f.filter([1.0, -2.0, 3.0]) == [0.0, 0.0, 0.0]
+
+    def test_constant_filter_has_no_poles_or_zeros(self):
+        f = RationalFilter([2.0, 0.0], [4.0])
+        assert (f.poles(), f.zeros()) == ([], [])
+
+    def test_needs_num_and_den(self):
+        with pytest.raises(TypeError):
+            RationalFilter([1.0])
+
     def test_rejects_zero_leading_den(self):
         with pytest.raises(ValueError):
             RationalFilter([1.0], [0.0, 1.0])
