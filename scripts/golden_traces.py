@@ -24,7 +24,6 @@ import json
 import platform
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from fritpid.harness import (
     TRACE_COLUMNS,
     NumericalBreakdownError,
     ScenarioConfig,
+    method_variants,
     run_scenario,
 )
 
@@ -72,11 +72,9 @@ def compute() -> dict:
     """{"<scenario>/<mode>/seed<seed>": digest} over every golden run."""
     digests = {}
     for path in SCENARIOS:
-        base = ScenarioConfig.from_json(path)
-        for mode in ESTIMATOR_MODES:
-            cfg = replace(base, estimator=replace(base.estimator, mode=mode))
+        for cfg in method_variants(ScenarioConfig.from_json(path), ESTIMATOR_MODES):
             for seed in SEEDS:
-                digests[f"{path.stem}/{mode}/seed{seed}"] = run_digest(cfg, seed)
+                digests[f"{path.stem}/{cfg.estimator.mode}/seed{seed}"] = run_digest(cfg, seed)
     return digests
 
 

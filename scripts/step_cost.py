@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import fritpid
-from fritpid.harness import ESTIMATOR_MODES, ScenarioConfig, run_scenario
+from fritpid.harness import ScenarioConfig, method_variants, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ROOT / "tests" / "step_cost.json"
@@ -73,10 +73,9 @@ def compute() -> dict:
     horizon = STEPS * base.ts
     base = replace(base, duration=horizon, evaluation_window=[0.0, horizon])
     counts = {}
-    for mode in ESTIMATOR_MODES:
-        cfg = replace(base, estimator=replace(base.estimator, mode=mode))
+    for cfg in method_variants(base):
         run_scenario(cfg, seed=0)
-        counts[mode] = count_opcodes(cfg)
+        counts[cfg.estimator.mode] = count_opcodes(cfg)
     return counts
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,10 +50,8 @@ def _cmd_tune(args) -> int:
     print(f"kd = {theta[2]:.6g}")
     print(f"model-reference cost = {cost:.6g}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps({"theta0": [float(x) for x in theta], "cost": cost}, indent=2)
-            + "\n"
-        )
+        _write_json(Path(args.out), {"theta0": [float(x) for x in theta],
+                                     "cost": cost if math.isfinite(cost) else None})
     return EXIT_OK
 
 
@@ -81,9 +80,7 @@ def _cmd_run(args) -> int:
     # the cost of the simulation alone: no scenario load, no file writes
     summary["wall_s"] = wall_s
     summary["step_us"] = wall_s / len(trace) * 1e6
-    (outdir / f"{cfg.name}_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / f"{cfg.name}_summary.json", summary)
     if args.save_dataset:
         ClosedLoopDataset(
             u0=trace["u"], y0=trace["y"], r=trace["r"], ts=cfg.ts
@@ -93,22 +90,27 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_table(rows: list[dict], path: Path, fmt: str) -> None:
-    if fmt == "json":
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+def _write_json(path: Path, value) -> None:
+    """`value` as indented JSON with sorted keys.  A NaN or an infinity raises
+    ValueError rather than being written as a token that is not JSON."""
+    path.write_text(json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _print_table(rows: list[dict]) -> None:
+def _report(rows: list[dict], args) -> int:
+    """Print a table of rows, and write it to --out in --format if given."""
     keys = list(rows[0].keys())
     widths = {k: max(len(k), *(len(_fmt(r[k])) for r in rows)) for k in keys}
     print("  ".join(k.ljust(widths[k]) for k in keys))
     for r in rows:
         print("  ".join(_fmt(r[k]).ljust(widths[k]) for k in keys))
+    if args.out and args.format == "json":
+        _write_json(Path(args.out), rows)
+    elif args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=keys)
+            writer.writeheader()
+            writer.writerows(rows)
+    return EXIT_OK
 
 
 def _fmt(v) -> str:
@@ -117,27 +119,18 @@ def _fmt(v) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
-    mus = [float(x) for x in args.mu.split(",")]
-    rows = mu_sweep(cfg, mus)
-    _print_table(rows)
-    if args.out:
-        _write_table(rows, Path(args.out), args.format)
-    return EXIT_OK
+    return _report(mu_sweep(cfg, [float(x) for x in args.mu.split(",")]), args)
 
 
 def _cmd_compare(args) -> int:
     path = Path(args.scenario)
-    if path.is_dir():
-        cfgs = [ScenarioConfig.from_json(p) for p in sorted(path.glob("*.json"))]
-        if not cfgs:
-            raise ConfigError(f"no scenario JSON files in {path}")
-    else:
-        cfgs = method_variants(ScenarioConfig.from_json(path), args.methods.split(","))
-    rows = compare_methods(cfgs)
-    _print_table(rows)
-    if args.out:
-        _write_table(rows, Path(args.out), args.format)
-    return EXIT_OK
+    paths = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    if not paths:
+        raise ConfigError(f"no scenario JSON files in {path}")
+    methods = args.methods.split(",")
+    # every file loads, and every variant is checked, before the first run
+    cfgs = [cfg for p in paths for cfg in method_variants(ScenarioConfig.from_json(p), methods)]
+    return _report(compare_methods(cfgs), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,19 +156,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also save the run as a closed-loop dataset CSV")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="forgetting-factor sweep (directional mode)")
+    table = argparse.ArgumentParser(add_help=False)  # the options of a command that prints a table
+    table.add_argument("--out", default=None, help="also write the table to this file")
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+
+    p_sweep = sub.add_parser("sweep", parents=[table],
+                             help="forgetting-factor sweep (directional mode)")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--mu", default="0.99,0.90,0.85,0.80,0.75")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_cmp = sub.add_parser("compare", help="compare estimator methods")
-    p_cmp.add_argument("scenario", help="scenario JSON, or a directory of them")
+    p_cmp = sub.add_parser("compare", parents=[table], help="compare estimator methods")
+    p_cmp.add_argument("scenario", help="scenario JSON, or a directory whose *.json files are "
+                       "the scenarios; each is compared over --methods")
     p_cmp.add_argument("--methods", default=",".join(ESTIMATOR_MODES),
-                       help="comma list of estimator modes (default: %(default)s)")
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--format", choices=["csv", "json"], default="csv")
+                       help="comma list of estimator modes (default: %(default)s; ef breaks "
+                       "down on scenarios/matched_lti.json, so with the default "
+                       "`compare scenarios/` exits 3)")
     p_cmp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -141,11 +141,9 @@ def regressor_samples(
     return phis[skip:], np.array(gm.filter.filter(data.u0))[skip:]
 
 
-def batch_tune(
-    data: ClosedLoopDataset, gm: ReferenceModel, skip: int = TRANSIENT_SKIP
-) -> np.ndarray:
+def batch_tune(data: ClosedLoopDataset, gm: ReferenceModel) -> np.ndarray:
     """Gains minimizing the convex surrogate, by normal equations."""
-    phis, ds = regressor_samples(data, gm, skip=skip)
+    phis, ds = regressor_samples(data, gm)
     with np.errstate(over="ignore", invalid="ignore"):
         A = phis.T @ phis
     if not np.isfinite(A).all():  # before cond, whose LAPACK call would complain on fd 2

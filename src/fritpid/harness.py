@@ -379,13 +379,16 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunTrace:
     return RunTrace(columns, window, cfg.name, seed)
 
 
+def _variant(base: ScenarioConfig, label: str, **changes) -> ScenarioConfig:
+    """A copy of a scenario named `<name>/<label>` whose estimator fields differ
+    by `changes`; it is checked like a loaded scenario."""
+    estimator = replace(base.estimator, **changes)
+    return replace(base, name=f"{base.name}/{label}", estimator=estimator)
+
+
 def method_variants(base: ScenarioConfig, methods=ESTIMATOR_MODES) -> list[ScenarioConfig]:
     """Copies of a scenario differing only in estimator mode."""
-    out = []
-    for mode in methods:
-        est = replace(base.estimator, mode=mode)
-        out.append(replace(base, name=f"{base.name}/{mode}", estimator=est))
-    return out
+    return [_variant(base, mode, mode=mode) for mode in methods]
 
 
 def compare_methods(cfgs: list[ScenarioConfig]) -> list[dict]:
@@ -419,11 +422,7 @@ def compare_methods(cfgs: list[ScenarioConfig]) -> list[dict]:
 
 def mu_sweep(base: ScenarioConfig, mus) -> list[dict]:
     """Forgetting-factor sweep for the directional-forgetting estimator."""
-    cfgs = []
-    for mu in mus:
-        est = replace(base.estimator, mode="df", mu=float(mu))
-        cfgs.append(replace(base, name=f"{base.name}/mu={mu}", estimator=est))
-    rows = compare_methods(cfgs)
+    rows = compare_methods([_variant(base, f"mu={mu}", mode="df", mu=float(mu)) for mu in mus])
     for row, mu in zip(rows, mus):
         row["mu"] = float(mu)
     return rows

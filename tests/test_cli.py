@@ -13,6 +13,7 @@ from conftest import matched_loop_data
 from fritpid import harness
 from fritpid.cli import main
 from fritpid.controller import PidController
+from fritpid.frit import ClosedLoopDataset, UnstableInverseWarning
 from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
@@ -421,14 +422,30 @@ class TestTune:
         assert re.search(rf"\b{field}\b", capsys.readouterr().err)
 
     def test_degenerate_dataset_exits_3(self, tmp_path):
-        from fritpid.frit import ClosedLoopDataset
-
         flat = ClosedLoopDataset(
             u0=np.zeros(50), y0=np.zeros(50), r=np.zeros(50), ts=0.01
         )
         path = tmp_path / "flat.csv"
         flat.save(path)
         assert main(["tune", str(path)]) == 3
+
+    def test_non_finite_cost_is_written_as_null(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        n = 1000
+        path = tmp_path / "experiment.csv"
+        ClosedLoopDataset(u0=1e170 * rng.standard_normal(n), y0=rng.standard_normal(n),
+                          r=np.ones(n), ts=0.01).save(path)
+        out = tmp_path / "gains.json"
+        with pytest.warns(UnstableInverseWarning):
+            assert main(["tune", str(path), "--out", str(out)]) == 0
+        assert "model-reference cost = inf" in capsys.readouterr().out
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        gains = json.loads(out.read_text(), parse_constant=strict)
+        assert gains["cost"] is None
+        assert sorted(gains) == ["cost", "theta0"] and len(gains["theta0"]) == 3
 
     def test_overflowing_normal_matrix_exits_3_with_one_line(self, tmp_path):
         # LAPACK's complaints go to file descriptor 2, so run a real process
@@ -483,6 +500,39 @@ class TestSweepAndCompare:
         code = main(["compare", str(short_scenario.parent)])
         assert code == 0
         assert "mae_median" in capsys.readouterr().out
+
+    @pytest.fixture
+    def scenario_dir(self, tmp_path, short_scenario):
+        """A directory holding b.json (written first) and a.json, two scenarios named b and a."""
+        raw = json.loads(short_scenario.read_text())
+        folder = tmp_path / "scenarios"
+        folder.mkdir()
+        for name, offset in [("b", 2.0), ("a", 1.0)]:
+            reference = {"kind": "constant", "offset": offset}
+            (folder / f"{name}.json").write_text(json.dumps({**raw, "name": name,
+                                                             "reference": reference}))
+        return folder
+
+    def test_compare_directory_compares_each_file_over_methods(self, scenario_dir, capsys):
+        assert main(["compare", str(scenario_dir), "--methods", "ef"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[1:]] == [["a/ef", "ef"], ["b/ef", "ef"]]
+
+    def test_compare_directory_is_the_per_file_tables(self, scenario_dir):
+        def table(path):
+            out = scenario_dir.parent / "table.json"
+            argv = ["compare", str(path), "--methods", "fixed,df", "--format", "json"]
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        together = table(scenario_dir)
+        assert together == table(scenario_dir / "a.json") + table(scenario_dir / "b.json")
+        assert [r["name"] for r in together] == ["a/fixed", "a/df", "b/fixed", "b/df"]
+
+    def test_compare_directory_with_no_methods_exits_2(self, scenario_dir, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a run started"))
+        assert main(["compare", str(scenario_dir), "--methods", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_compare_directory_without_scenarios_exits_2(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("")
