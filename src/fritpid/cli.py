@@ -16,12 +16,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
 from .adaptive import NumericalBreakdownError
-from .frit import ClosedLoopDataset, batch_tune, frit_cost
+from .frit import ClosedLoopDataset, batch_tune, dataset_files, frit_cost
 from .harness import (
     ESTIMATOR_MODES,
     ConfigError,
@@ -39,7 +40,29 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _check_paths(reads, writes, made: Path | None = None) -> None:
+    """Before any work, refuse an output (flag, path) that is a directory, has no directory
+    to go in (`made`, created first, counts) or is an input or another output."""
+    real = os.path.realpath  # unlike Path.resolve on Python 3.11, no error on a symlink loop
+    if made is not None:
+        existing = next(p for p in (made, *made.absolute().parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out {made}: {existing} is not a directory")
+    seen = {real(path): f"{flag} {path}" for flag, path in reads}
+    for flag, path in ((flag, Path(p)) for flag, p in writes if p is not None):
+        where = f"{flag} {path}"
+        if path.is_dir():
+            raise IsADirectoryError(f"{where} is a directory")
+        if not (path.parent.is_dir() or made and real(path.parent) == real(made)):
+            raise FileNotFoundError(f"{where}: no directory {path.parent}")
+        same = seen.setdefault(real(path), where)
+        if same is not where:
+            raise ValueError(f"{where} is the same file as {same}")
+
+
 def _cmd_tune(args) -> int:
+    dataset, sidecar = dataset_files(args.dataset)
+    _check_paths([("dataset", dataset), ("dataset sidecar", sidecar)], [("--out", args.out)])
     data = ClosedLoopDataset.load(args.dataset)
     gm = ReferenceModel.first_order(data.ts, tau=args.gm_tau, dc_gain=args.gm_dc_gain,
                                     discretization="zoh" if args.exact_zoh else "euler")
@@ -59,32 +82,30 @@ def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
     if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
         raise ConfigError(f"scenario name {cfg.name!r} must be a plain file name")
-    # both output targets are checked before the run, creating nothing
     outdir = Path(args.out)
-    existing = next(p for p in (outdir, *outdir.absolute().parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {outdir}: {existing} is not a directory")
+    trace_path = outdir / f"{cfg.name}_trace.csv"
+    summary_path = outdir / f"{cfg.name}_summary.json"
+    writes = [("--out", trace_path), ("--out", summary_path)]
     if args.save_dataset:
-        dataset = Path(args.save_dataset)
-        if dataset.is_dir() or dataset.with_suffix(".json").is_dir():
-            raise IsADirectoryError(f"--save-dataset {dataset} or its .json sidecar is a directory")
-        if not (dataset.parent.is_dir() or dataset.parent.resolve() == outdir.resolve()):
-            raise FileNotFoundError(f"--save-dataset {dataset}: no directory {dataset.parent}")
+        if round(cfg.duration / cfg.ts) < 2:  # the steps of the run, as run_scenario counts
+            raise ConfigError(f"--save-dataset needs a run of 2 steps or more: {args.scenario}")
+        dataset, sidecar = dataset_files(args.save_dataset)
+        writes += [("--save-dataset", dataset), ("--save-dataset sidecar", sidecar)]
+    _check_paths([("scenario", args.scenario)], writes, made=outdir)
     t0 = time.perf_counter()
     trace = run_scenario(cfg, seed=args.seed)
     wall_s = time.perf_counter() - t0
     outdir.mkdir(parents=True, exist_ok=True)
-    trace_path = outdir / f"{cfg.name}_trace.csv"
     trace.save_csv(trace_path)
     summary = trace.summary()
     # the cost of the simulation alone: no scenario load, no file writes
     summary["wall_s"] = wall_s
     summary["step_us"] = wall_s / len(trace) * 1e6
-    _write_json(outdir / f"{cfg.name}_summary.json", summary)
+    _write_json(summary_path, summary)
     if args.save_dataset:
         ClosedLoopDataset(
             u0=trace["u"], y0=trace["y"], r=trace["r"], ts=cfg.ts
-        ).save(args.save_dataset)
+        ).save(dataset)
     print(f"trace: {trace_path}")
     print(f"MAE = {summary['mae']:.6g}, maxAE = {summary['max_ae']:.6g}")
     return EXIT_OK
@@ -119,6 +140,7 @@ def _fmt(v) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
+    _check_paths([("scenario", args.scenario)], [("--out", args.out)])
     return _report(mu_sweep(cfg, [float(x) for x in args.mu.split(",")]), args)
 
 
@@ -130,6 +152,7 @@ def _cmd_compare(args) -> int:
     methods = args.methods.split(",")
     # every file loads, and every variant is checked, before the first run
     cfgs = [cfg for p in paths for cfg in method_variants(ScenarioConfig.from_json(p), methods)]
+    _check_paths([("scenario", p) for p in paths], [("--out", args.out)])
     return _report(compare_methods(cfgs), args)
 
 

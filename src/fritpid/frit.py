@@ -76,26 +76,33 @@ class ClosedLoopDataset:
 
     def save(self, path) -> None:
         """Write `k,r,u,y` rows plus a `.json` sidecar holding ts."""
-        path = Path(path)
+        path, sidecar = dataset_files(path)
         write_columns(
             path,
             ("k", "r", "u", "y"),
             (np.arange(len(self)), self.r, self.u0, self.y0),
             ("%d", "%r", "%r", "%r"),
         )
-        path.with_suffix(".json").write_text(json.dumps({"ts": self.ts}) + "\n")
+        sidecar.write_text(json.dumps({"ts": self.ts}) + "\n")
 
     @classmethod
     def load(cls, path) -> "ClosedLoopDataset":
         """Read a file written by `save`; `ValueError` names what is malformed."""
-        path = Path(path)
-        sidecar = path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
+        path, sidecar = dataset_files(path)
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar} is not JSON: {exc}") from exc
         ts = meta.get("ts") if isinstance(meta, dict) else None
         if isinstance(ts, bool) or not isinstance(ts, (int, float)):
             raise ValueError(f"{sidecar}: expected an object with a numeric ts field")
         r, u, y = read_columns(path, ("r", "u", "y"))
         return cls(u0=u, y0=y, r=r, ts=float(ts))
+
+
+def dataset_files(path) -> tuple[Path, Path]:
+    """The two files of a dataset: the CSV at `path` and its `.json` sidecar."""
+    return Path(path), Path(path).with_suffix(".json")
 
 
 def fictitious_reference(theta, data: ClosedLoopDataset) -> np.ndarray:

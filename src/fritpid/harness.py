@@ -259,10 +259,9 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
         try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_dict(raw)
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # not JSON, or not a scenario
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 class RunTrace:

@@ -18,6 +18,12 @@ from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
 TS_JSON = '{"ts": 0.01}'
+MATCHED_LTI = Path(__file__).resolve().parent.parent / "scenarios" / "matched_lti.json"
+
+
+def tree(root: Path) -> dict:
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 @pytest.fixture
@@ -294,8 +300,14 @@ class TestRun:
         ("out", "out/sub/x.csv"),
         ("out", "."),
         ("out", "x.csv"),
+        ("out", "out/y.json"),
+        ("out", "out/matched_lti_trace.csv"),
+        ("out", "out/matched_lti_summary.csv"),
+        ("out", MATCHED_LTI),
     ], ids=["out-is-a-file", "out-under-a-file", "dataset-dir-missing",
-            "dataset-dir-under-out", "dataset-is-a-directory", "sidecar-is-a-directory"])
+            "dataset-dir-under-out", "dataset-is-a-directory", "sidecar-is-a-directory",
+            "dataset-is-its-sidecar", "dataset-is-the-trace", "sidecar-is-the-summary",
+            "dataset-is-the-scenario"])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                    out, dataset):
         def no_step(*args):
@@ -311,6 +323,30 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: --")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "x.json"]
         assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("file", ["short_trace.csv", "short_summary.json"])
+    def test_output_that_is_the_scenario_exits_2_before_step_0(self, tmp_path, short_scenario,
+                                                               capsys, monkeypatch, file):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(PidController, "step", no_step)
+        scenario = short_scenario.rename(tmp_path / file)  # the scenario is named "short"
+        before = tree(tmp_path)
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {scenario} is the same file")
+        assert tree(tmp_path) == before
+
+    def test_dataset_of_a_one_step_run_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        scenario = tmp_path / "one.json"
+        scenario.write_text(json.dumps({"name": "one", "duration": 0.01, "ts": 0.01,
+                                        "estimator": {"mode": "fixed"}}))
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0  # a 1-step run is fine
+        assert main(["run", str(scenario), "--out", str(tmp_path / "o2"),
+                     "--save-dataset", str(tmp_path / "one.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: --save-dataset needs a run of 2 steps")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json", "out"]
 
     def test_dataset_may_go_into_the_out_directory_it_creates(self, tmp_path, short_scenario):
         out = tmp_path / "new"
@@ -403,6 +439,8 @@ class TestTune:
             pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,x,0\r\n", TS_JSON, "line 3", id="not-a-number"),
             pytest.param("k,r,u,y\r\n", TS_JSON, "no data rows", id="header-only"),
             pytest.param("", TS_JSON, "empty file", id="empty"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "", "is not JSON",
+                         id="sidecar-not-json"),
         ],
     )
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, sidecar, message):
@@ -412,6 +450,19 @@ class TestTune:
         assert main(["tune", str(path)]) == 2
         err = capsys.readouterr().err
         assert "experiment." in err and message in err
+
+    @pytest.mark.parametrize("out", ["experiment.json", "experiment.csv"],
+                             ids=["out-is-the-sidecar", "out-is-the-csv"])
+    def test_out_that_is_the_dataset_exits_2_before_reading_it(self, tmp_path, capsys,
+                                                               monkeypatch, out):
+        path = tmp_path / "experiment.csv"
+        matched_loop_data(THETA_STAR).save(path)
+        monkeypatch.setattr(ClosedLoopDataset, "load",
+                            classmethod(lambda cls, p: pytest.fail("the dataset was read")))
+        before = tree(tmp_path)
+        assert main(["tune", str(path), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / out} is the same")
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("flag, field", [("--gm-dc-gain", "dc_gain"), ("--gm-tau", "tau")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -473,15 +524,22 @@ class TestSweepAndCompare:
         assert "mu" in lines[0]
         assert "mu=" in capsys.readouterr().out.replace(" ", "")
 
-    @pytest.mark.parametrize("command", [
-        ["sweep", "--mu", "0.9"], ["compare", "--methods", "df"],
-    ], ids=["sweep", "compare"])
-    def test_out_that_is_a_directory_exits_2(self, tmp_path, short_scenario, capsys, command):
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([*command, str(short_scenario), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert list(out.iterdir()) == []
+    SWEEP, COMPARE = ["sweep", "--mu", "0.9"], ["compare", "--methods", "df"]
+
+    @pytest.mark.parametrize("command, out", [
+        (SWEEP, "out"), (COMPARE, "out"),
+        (SWEEP, "no/table.csv"), (COMPARE, "no/table.csv"),
+        (SWEEP, "short.json"), (COMPARE, "short.json"),
+    ], ids=["sweep", "compare", "sweep-out-dir-missing", "compare-out-dir-missing",
+            "sweep-out-is-the-scenario", "compare-out-is-the-scenario"])
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, short_scenario, capsys, monkeypatch,
+                                             command, out):
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a trial ran"))
+        (tmp_path / "out").mkdir()
+        before = tree(tmp_path)
+        assert main([*command, str(short_scenario), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / out}")
+        assert tree(tmp_path) == before
 
     def test_compare_json_format(self, tmp_path, short_scenario):
         out = tmp_path / "cmp.json"
@@ -533,6 +591,18 @@ class TestSweepAndCompare:
         monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a run started"))
         assert main(["compare", str(scenario_dir), "--methods", ""]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "Expecting property name"),
+        (None, "duration must be positive and finite, got -1.0"),
+    ], ids=["not-json", "negative-duration"])
+    def test_compare_directory_names_the_file_that_fails_to_load(self, scenario_dir, capsys,
+                                                                 text, message):
+        bad = scenario_dir / "b.json"
+        bad.write_text(text or json.dumps({**json.loads(bad.read_text()), "duration": -1}))
+        assert main(["compare", str(scenario_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
 
     def test_compare_directory_without_scenarios_exits_2(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("")
