@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Golden trace digests: pin every closed-loop trace to the bit.
 
-Runs each bundled scenario plus the prior experiment of the benchmark under
-every estimator mode at seeds 0 and 7, and records the sha256 of the run's
-(13, n) float64 trace buffer, or the step and message of a numerical
-breakdown.  `tests/test_golden_traces.py` recomputes the digests and fails
-on any change.
+Runs each bundled scenario, `method_comparison` at mu = 0.9 and the prior
+experiment of the benchmark under every estimator mode at seeds 0 and 7, and
+records the sha256 of the run's (13, n) float64 trace buffer, or the step
+and message of a numerical breakdown.  `tests/test_golden_traces.py`
+recomputes the digests and fails on any change.
 
 Run from the repo root:
 
@@ -33,6 +33,7 @@ from fritpid.harness import (
     TRACE_COLUMNS,
     NumericalBreakdownError,
     ScenarioConfig,
+    _variant,
     method_variants,
     run_scenario,
 )
@@ -68,13 +69,23 @@ def run_digest(cfg: ScenarioConfig, seed: int):
     return hashlib.sha256(buf.tobytes()).hexdigest()
 
 
-def compute() -> dict:
-    """{"<scenario>/<mode>/seed<seed>": digest} over every golden run."""
-    digests = {}
+def scenarios():
+    """(key, scenario) of every golden scenario: each file under its stem, and
+    `method_comparison` at mu = 0.9 under `method_comparison/mu=0.9`."""
     for path in SCENARIOS:
-        for cfg in method_variants(ScenarioConfig.from_json(path), ESTIMATOR_MODES):
+        cfg = ScenarioConfig.from_json(path)
+        yield path.stem, cfg
+        if path.stem == "method_comparison":
+            yield f"{path.stem}/mu=0.9", _variant(cfg, "mu=0.9", mu=0.9)
+
+
+def compute() -> dict:
+    """{"<key>/<mode>/seed<seed>": digest} over every golden run."""
+    digests = {}
+    for key, base in scenarios():
+        for cfg in method_variants(base, ESTIMATOR_MODES):
             for seed in SEEDS:
-                digests[f"{path.stem}/{cfg.estimator.mode}/seed{seed}"] = run_digest(cfg, seed)
+                digests[f"{key}/{cfg.estimator.mode}/seed{seed}"] = run_digest(cfg, seed)
     return digests
 
 

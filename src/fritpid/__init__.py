@@ -33,7 +33,6 @@ from .harness import (
     ScenarioConfig,
     compare_methods,
     method_variants,
-    mu_sweep,
     run_scenario,
 )
 from .lti import RationalFilter, ReferenceModel, one_minus
@@ -70,7 +69,6 @@ __all__ = [
     "fictitious_reference",
     "frit_cost",
     "method_variants",
-    "mu_sweep",
     "one_minus",
     "pid_filter",
     "run_scenario",

@@ -4,8 +4,7 @@ Subcommands:
     tune     offline gain tuning from a recorded closed-loop CSV
     run      execute a scenario JSON, write trace CSV + summary JSON
              (the summary includes the simulation's wall_s and step_us)
-    sweep    forgetting-factor sweep for the directional estimator
-    compare  run the estimator-method comparison over seeded trials
+    compare  compare estimator methods over seeded trials, and over --mu if given
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 """
@@ -28,9 +27,9 @@ from .harness import (
     ConfigError,
     GmSpec,
     ScenarioConfig,
+    _variant,
     compare_methods,
     method_variants,
-    mu_sweep,
     run_scenario,
 )
 from .lti import ReferenceModel
@@ -86,10 +85,10 @@ def _cmd_run(args) -> int:
     trace_path = outdir / f"{cfg.name}_trace.csv"
     summary_path = outdir / f"{cfg.name}_summary.json"
     writes = [("--out", trace_path), ("--out", summary_path)]
-    if args.save_dataset:
+    if args.save_dataset is not None:
         if round(cfg.duration / cfg.ts) < 2:  # the steps of the run, as run_scenario counts
             raise ConfigError(f"--save-dataset needs a run of 2 steps or more: {args.scenario}")
-        dataset, sidecar = dataset_files(args.save_dataset)
+        dataset, sidecar = dataset_files(args.save_dataset, "--save-dataset")
         writes += [("--save-dataset", dataset), ("--save-dataset sidecar", sidecar)]
     _check_paths([("scenario", args.scenario)], writes, made=outdir)
     t0 = time.perf_counter()
@@ -102,7 +101,7 @@ def _cmd_run(args) -> int:
     summary["wall_s"] = wall_s
     summary["step_us"] = wall_s / len(trace) * 1e6
     _write_json(summary_path, summary)
-    if args.save_dataset:
+    if args.save_dataset is not None:
         ClosedLoopDataset(
             u0=trace["u"], y0=trace["y"], r=trace["r"], ts=cfg.ts
         ).save(dataset)
@@ -138,12 +137,6 @@ def _fmt(v) -> str:
     return f"{v:.5g}" if isinstance(v, float) else str(v)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = ScenarioConfig.from_json(args.scenario)
-    _check_paths([("scenario", args.scenario)], [("--out", args.out)])
-    return _report(mu_sweep(cfg, [float(x) for x in args.mu.split(",")]), args)
-
-
 def _cmd_compare(args) -> int:
     path = Path(args.scenario)
     paths = sorted(path.glob("*.json")) if path.is_dir() else [path]
@@ -151,9 +144,27 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"no scenario JSON files in {path}")
     methods = args.methods.split(",")
     # every file loads, and every variant is checked, before the first run
-    cfgs = [cfg for p in paths for cfg in method_variants(ScenarioConfig.from_json(p), methods)]
+    bases = [ScenarioConfig.from_json(p) for p in paths]
+    if args.mu is not None:
+        mus = _forgetting_factors(args.mu)
+        bases = [_variant(base, f"mu={mu}", mu=mu) for base in bases for mu in mus]
+    cfgs = [cfg for base in bases for cfg in method_variants(base, methods)]
     _check_paths([("scenario", p) for p in paths], [("--out", args.out)])
-    return _report(compare_methods(cfgs), args)
+    rows = compare_methods(cfgs)
+    if args.mu is not None:
+        rows = [{**row, "mu": cfg.estimator.mu} for row, cfg in zip(rows, cfgs)]
+    return _report(rows, args)
+
+
+def _forgetting_factors(text: str) -> list[float]:
+    """The numbers of --mu, each in (0, 1]: checked here, as `fixed` builds no estimator."""
+    try:
+        mus = [float(x) for x in text.split(",")]
+    except ValueError:
+        mus = [math.nan]  # fails the range check
+    if not all(0.0 < mu <= 1.0 for mu in mus):
+        raise ConfigError(f"--mu {text!r} must be a comma list of numbers in (0, 1]")
+    return mus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", default=None, help="also write the table to this file")
     table.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_sweep = sub.add_parser("sweep", parents=[table],
-                             help="forgetting-factor sweep (directional mode)")
-    p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--mu", default="0.99,0.90,0.85,0.80,0.75")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     p_cmp = sub.add_parser("compare", parents=[table], help="compare estimator methods")
     p_cmp.add_argument("scenario", help="scenario JSON, or a directory whose *.json files are "
                        "the scenarios; each is compared over --methods")
@@ -196,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of estimator modes (default: %(default)s; ef breaks "
                        "down on scenarios/matched_lti.json, so with the default "
                        "`compare scenarios/` exits 3)")
+    p_cmp.add_argument("--mu", help="comma list of forgetting factors to cross with --methods")
     p_cmp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -100,8 +100,10 @@ class ClosedLoopDataset:
         return cls(u0=u, y0=y, r=r, ts=float(ts))
 
 
-def dataset_files(path) -> tuple[Path, Path]:
-    """The two files of a dataset: the CSV at `path` and its `.json` sidecar."""
+def dataset_files(path, what: str = "dataset") -> tuple[Path, Path]:
+    """The CSV at `path` and its `.json` sidecar; an error names `path` as `what`."""
+    if not Path(path).name:  # such as "/", which has no name to give a suffix
+        raise ValueError(f"{what} {str(path)!r} needs a file name")
     return Path(path), Path(path).with_suffix(".json")
 
 

@@ -418,10 +418,3 @@ def compare_methods(cfgs: list[ScenarioConfig]) -> list[dict]:
         table.append(row)
     return table
 
-
-def mu_sweep(base: ScenarioConfig, mus) -> list[dict]:
-    """Forgetting-factor sweep for the directional-forgetting estimator."""
-    rows = compare_methods([_variant(base, f"mu={mu}", mode="df", mu=float(mu)) for mu in mus])
-    for row, mu in zip(rows, mus):
-        row["mu"] = float(mu)
-    return rows

@@ -304,10 +304,12 @@ class TestRun:
         ("out", "out/matched_lti_trace.csv"),
         ("out", "out/matched_lti_summary.csv"),
         ("out", MATCHED_LTI),
+        ("out", "/"),
+        ("out", ""),
     ], ids=["out-is-a-file", "out-under-a-file", "dataset-dir-missing",
             "dataset-dir-under-out", "dataset-is-a-directory", "sidecar-is-a-directory",
             "dataset-is-its-sidecar", "dataset-is-the-trace", "sidecar-is-the-summary",
-            "dataset-is-the-scenario"])
+            "dataset-is-the-scenario", "dataset-has-no-file-name", "dataset-is-empty"])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                    out, dataset):
         def no_step(*args):
@@ -317,8 +319,8 @@ class TestRun:
         (tmp_path / "taken").write_text("")
         (tmp_path / "x.json").mkdir()  # the sidecar of x.csv
         argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
-        if dataset:
-            argv += ["--save-dataset", str(tmp_path / dataset)]
+        if dataset is not None:
+            argv += ["--save-dataset", str(tmp_path / dataset) if dataset else ""]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "x.json"]
@@ -441,15 +443,19 @@ class TestTune:
             pytest.param("", TS_JSON, "empty file", id="empty"),
             pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "", "is not JSON",
                          id="sidecar-not-json"),
+            pytest.param(None, None, "error: dataset '/' needs a file name", id="no-file-name"),
         ],
     )
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, sidecar, message):
         path = tmp_path / "experiment.csv"
-        path.write_text(text, newline="")
-        path.with_suffix(".json").write_text(sidecar)
+        if text is None:  # the dataset is "/", which has no file name
+            path = Path("/")
+        else:
+            path.write_text(text, newline="")
+            path.with_suffix(".json").write_text(sidecar)
         assert main(["tune", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "experiment." in err and message in err
+        assert message in err and (text is None or "experiment." in err)
 
     @pytest.mark.parametrize("out", ["experiment.json", "experiment.csv"],
                              ids=["out-is-the-sidecar", "out-is-the-csv"])
@@ -513,25 +519,59 @@ class TestTune:
 
 
 class TestSweepAndCompare:
-    def test_sweep_writes_table(self, tmp_path, short_scenario, capsys):
-        out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", str(short_scenario), "--mu", "0.95,0.9", "--out", str(out)]
-        )
-        assert code == 0
+    def test_compare_mu_writes_table(self, tmp_path, short_scenario, capsys):
+        out = tmp_path / "table.csv"
+        argv = ["compare", str(short_scenario), "--methods", "fixed,df", "--mu", "0.95,0.9"]
+        assert main([*argv, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert "mu" in lines[0]
+        assert lines[0].endswith(",mu")
+        names = [line.split(",")[0] for line in lines[1:]]
+        assert names == ["short/mu=0.95/fixed", "short/mu=0.95/df",
+                         "short/mu=0.9/fixed", "short/mu=0.9/df"]
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0.95", "0.95", "0.9", "0.9"]
+        # fixed ignores mu: its rows differ only in name and mu
+        fixed = [line.split(",")[1:-1] for line in lines[1::2]]
+        assert fixed[0] == fixed[1]
         assert "mu=" in capsys.readouterr().out.replace(" ", "")
 
-    SWEEP, COMPARE = ["sweep", "--mu", "0.9"], ["compare", "--methods", "df"]
+    def test_compare_mu_runs_all_values_on_hysteretic_plant(self, tmp_path):
+        raw = json.loads((MATCHED_LTI.parent / "method_comparison.json").read_text())
+        raw.update(duration=20.0, trials=2, evaluation_window=[5.0, 20.0])
+        scenario, out = tmp_path / "cut.json", tmp_path / "table.json"
+        scenario.write_text(json.dumps(raw))
+        mus = [0.99, 0.90, 0.85, 0.80, 0.75]
+        argv = ["compare", str(scenario), "--methods", "df", "--mu", ",".join(map(str, mus))]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [row["mu"] for row in rows] == mus
+        for row in rows:
+            assert np.isfinite(row["mae_median"])
+
+    @pytest.mark.parametrize("mu", ["nan", "0", "1.5", "inf", "-0.5", "abc", "", "0.9,,0.8"])
+    def test_bad_mu_exits_2_before_any_trial(self, short_scenario, capsys, monkeypatch, mu):
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a trial ran"))
+        assert main(["compare", str(short_scenario), "--methods", "df", "--mu", mu]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --mu {mu!r} ")
+
+    def test_mu_is_checked_where_no_estimator_uses_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a trial ran"))
+        scenario = tmp_path / "fixed.json"
+        scenario.write_text(json.dumps({"name": "fixed", "estimator": {"mode": "fixed"}}))
+        assert main(["compare", str(scenario), "--methods", "fixed", "--mu", "1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --mu '1.5' ")
+
+    def test_subnormal_mu_runs(self):
+        assert main(["compare", str(MATCHED_LTI), "--methods", "df", "--mu", "1e-320"]) == 0
+
+    COMPARE = ["compare", "--methods", "df"]
+    COMPARE_MU = [*COMPARE, "--mu", "0.9"]
 
     @pytest.mark.parametrize("command, out", [
-        (SWEEP, "out"), (COMPARE, "out"),
-        (SWEEP, "no/table.csv"), (COMPARE, "no/table.csv"),
-        (SWEEP, "short.json"), (COMPARE, "short.json"),
-    ], ids=["sweep", "compare", "sweep-out-dir-missing", "compare-out-dir-missing",
-            "sweep-out-is-the-scenario", "compare-out-is-the-scenario"])
+        (COMPARE_MU, "out"), (COMPARE, "out"),
+        (COMPARE_MU, "no/table.csv"), (COMPARE, "no/table.csv"),
+        (COMPARE_MU, "short.json"), (COMPARE, "short.json"),
+    ], ids=["mu", "compare", "mu-out-dir-missing", "compare-out-dir-missing",
+            "mu-out-is-the-scenario", "compare-out-is-the-scenario"])
     def test_out_that_is_a_directory_exits_2(self, tmp_path, short_scenario, capsys, monkeypatch,
                                              command, out):
         monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: pytest.fail("a trial ran"))
@@ -553,6 +593,7 @@ class TestSweepAndCompare:
         assert code == 0
         rows = json.loads(out.read_text())
         assert [r["mode"] for r in rows] == ["fixed", "df"]
+        assert not any("mu" in r for r in rows)  # a column of --mu only
 
     def test_compare_directory(self, tmp_path, short_scenario, capsys):
         code = main(["compare", str(short_scenario.parent)])

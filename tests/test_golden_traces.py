@@ -29,7 +29,8 @@ def test_traces_match_golden_digests():
 
 def test_golden_file_covers_every_run():
     runs = golden.load()["runs"]
-    assert len(runs) == len(golden.SCENARIOS) * len(golden.ESTIMATOR_MODES) * len(golden.SEEDS)
+    scenarios = len(golden.SCENARIOS) + 1  # the files, and method_comparison at mu = 0.9
+    assert len(runs) == scenarios * len(golden.ESTIMATOR_MODES) * len(golden.SEEDS)
     breakdowns = {k: v for k, v in runs.items() if isinstance(v, dict)}
     # the one known breakdown: exponential forgetting winds up on matched_lti
     assert sorted(breakdowns) == ["matched_lti/ef/seed0", "matched_lti/ef/seed7"]

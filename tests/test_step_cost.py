@@ -40,7 +40,7 @@ def test_counting_restores_an_earlier_tracer():
     sys.settrace(earlier)
     try:
         cfg = step_cost.ScenarioConfig(duration=0.05)
-        assert step_cost.count_opcodes(cfg) > 0
+        assert sum(step_cost.count_opcodes(cfg).values()) > 0
         assert sys.gettrace() is earlier
     finally:
         sys.settrace(previous)
