@@ -444,6 +444,13 @@ class TestTune:
             pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "", "is not JSON",
                          id="sidecar-not-json"),
             pytest.param(None, None, "error: dataset '/' needs a file name", id="no-file-name"),
+            pytest.param(f'k,r,u,y\r\n0,1,2,0\r\n1,1,2,"{"9" * 200_000}"\r\n', TS_JSON,
+                         "line 3: field larger than field limit", id="huge-quoted-field"),
+            pytest.param(f'k,r,u,"{"y" * 200_000}"\r\n0,1,2,0\r\n', TS_JSON,
+                         "line 1: field larger than field limit", id="huge-header-field"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", '{"ts": 1' + "0" * 400 + "}",
+                         "experiment.json: expected an object with a finite numeric ts field",
+                         id="sidecar-ts-too-large-for-a-float"),
         ],
     )
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, sidecar, message):

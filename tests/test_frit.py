@@ -1,8 +1,12 @@
 import csv
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TS, matched_loop_data
 from fritpid.adaptive import RegressorGenerator, RlsEstimator
@@ -228,6 +232,108 @@ class TestCsvRoundTrip:
         data.save(path)
         assert path.read_text().splitlines()[0] == "k,r,u,y"
         assert (tmp_path / "d.json").exists()
+
+
+def reference_read_columns(path, names):
+    """The row-at-a-time `csv.reader` + `float()` loop that defined the dataset format."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
+        index = [header.index(n) for n in names]
+        cols = [[] for _ in names]
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                for col, i in zip(cols, index):
+                    col.append(float(row[i]))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not cols[0]:
+        raise ValueError(f"{path}: header but no data rows")
+    return cols
+
+
+def bits_or_message(read, path, names):
+    """The bytes of each column `read` returns, or the message of its ValueError;
+    a warning is an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [struct.pack(f"{len(col)}d", *col) for col in read(path, names)]
+    except ValueError as exc:
+        return str(exc)
+
+
+REPR_FLOATS = st.floats().map(repr)  # also nan, inf, -inf and -0.0
+NUMBERS = st.sampled_from([  # numbers numpy reads; float() refuses the two with \x1c and \x1f
+    " 1.5 ", "\t2\x0b", "\xa03", "\u30004", "\x1c4", "5\x1f", "+inf", "-nan", "Infinity", "1e999",
+])
+NOT_FOR_NUMPY = st.sampled_from([
+    "1_0", "\u0661\u0662", "0x1", "1 2", "2\x00", '"2.5"', '"1,5"', '"7', "abc", "",
+])
+LINE_ENDS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, names): a header of 1 to 4 of the dataset's names, then rows.  A third
+    of the files hold only `repr` floats in full rows and empty lines, a third also
+    other spellings of numbers, and a third also fields numpy refuses, short and long
+    rows and whitespace-only lines."""
+    header = draw(st.lists(st.sampled_from("kruy"), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(header), min_size=1, max_size=4, unique=True))
+    n = len(header)
+    field, widths, blanks = REPR_FLOATS, st.just(n), st.just("")
+    kind = draw(st.sampled_from(["repr", "numbers", "anything"]))
+    if kind != "repr":
+        field = st.one_of(REPR_FLOATS, NUMBERS)
+    if kind == "anything":
+        field = st.one_of(field, NOT_FOR_NUMPY)
+        widths = st.sampled_from([n, n, n - 1, n + 1])
+        blanks = st.sampled_from(["", " ", "\t", "\x0c", "\x1c"])
+    row = widths.flatmap(lambda w: st.lists(field, min_size=w, max_size=w)).map(",".join)
+    lines = [",".join(header), *draw(st.lists(st.one_of(row, blanks), max_size=6))]
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(map(str.__add__, lines, ends)), names
+
+
+class TestReadColumns:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(case=csv_files())
+    @example(case=(f"y\r\n{'1' * 131_073}\r\n", ["y"]))  # a number csv.reader finds too long
+    def test_matches_the_csv_loop_bit_for_bit(self, tmp_path_factory, case):
+        text, names = case
+        path = tmp_path_factory.getbasetemp() / "read_columns.csv"
+        path.write_text(text, newline="")
+        expected = bits_or_message(reference_read_columns, path, names)
+        assert bits_or_message(read_columns, path, names) == expected
+
+    def test_a_saved_dataset_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        tables, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            tables.append(loadtxt(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        data = awkward_dataset()
+        data.save(tmp_path / "d.csv")
+        loaded = ClosedLoopDataset.load(tmp_path / "d.csv")
+        assert [t.shape for t in tables] == [(len(data), 4)]
+        assert loaded.u0.tobytes() == data.u0.tobytes()
 
 
 class TestValidation:

@@ -444,6 +444,12 @@ class TestTraceIo:
         with pytest.raises(ValueError, match=match):
             RunTrace.load_csv(path, window=(1000.0, 2000.0))
 
+    def test_load_a_field_too_large_for_the_csv_module_raises(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + f'\r\n"{"0" * 200_000}"\r\n', newline="")
+        with pytest.raises(ValueError, match=r"trace\.csv: line 2: field larger than field limit"):
+            RunTrace.load_csv(path)
+
     @pytest.mark.parametrize("mode", ["fixed", "df"])
     def test_bytes_match_reference_writer(self, tmp_path, mode):
         # fixed mode writes nan pmin/pmax; df sets deadzone on some steps
