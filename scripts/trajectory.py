@@ -4,7 +4,7 @@
     python scripts/trajectory.py parent=../fritpid-parent change=. --out BENCH_27.json
 
 Each NAME=DIR names a source checkout with `perfbench/run.py` and
-`scripts/step_cost.py`.  For every seed and every workload of BENCHMARK.json,
+`scripts/step_cost.py`.  For seeds 0-4 and every workload of BENCHMARK.json,
 each checkout runs `perfbench/run.py --trace 0` as a subprocess, so one round
 holds one run of every checkout on every workload; the checkouts take turns
 going first from run to run, so drift of the machine falls on all of them
@@ -17,8 +17,8 @@ alike.  The JSON written holds, per checkout:
   opcodes_per_step     per estimator mode, from scripts/step_cost.py
   opcodes_per_layer    per mode, the opcodes per step of each function (co_qualname)
 
-Nothing under perfbench/ is changed; the runs use the seconds given here for
-every checkout.
+Nothing under perfbench/ is changed; every run lasts BENCHMARK.json's
+run_seconds.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(5)
 STEP_COST = """
 import json, sys
 sys.path.insert(0, "scripts")
@@ -83,19 +84,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", metavar="NAME=DIR")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--seeds", default="0,1,2,3,4", help="comma list (default: %(default)s)")
-    parser.add_argument("--seconds", type=float, help="run length of each run "
-                        "(default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
+    if not all("=" in c for c in args.checkouts):
+        parser.error("give each checkout as NAME=DIR")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) < 2 or not all("=" in c for c in args.checkouts):
-        parser.error("give at least two seeds, and each checkout as NAME=DIR")
+    seconds = spec["run_seconds"]
     roots = dict(c.split("=", 1) for c in args.checkouts)
     results = {name: {"runs": []} for name in roots}
     turn = 0
-    for seed in seeds:
+    for seed in SEEDS:
         for workload in (w["name"] for w in spec["workloads"]):
             names = list(roots)[turn % len(roots):] + list(roots)[:turn % len(roots)]
             turn += 1
@@ -120,7 +117,7 @@ def main(argv=None) -> int:
                             for w in spec["workloads"]}
         entry.update(step_cost(Path(root).resolve()))
     Path(args.out).write_text(json.dumps(
-        {"seconds": seconds, "seeds": seeds, "checkouts": results}, indent=1) + "\n")
+        {"seconds": seconds, "seeds": list(SEEDS), "checkouts": results}, indent=1) + "\n")
     return 0
 
 

@@ -49,42 +49,41 @@ def read_columns(path, names) -> list[list[float]]:
     Raises `ValueError` naming the file when it has no header, lacks a named
     column, has no data rows, or has a row whose field count differs from the
     header's or a field that is not a number.  Blank lines are skipped.
-    numpy's C reader parses the rows where it reads them as `csv.reader` and
-    `float()` do; any other file takes the `csv.reader` loop, which words errors.
     """
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise ValueError(f"{path}: empty file, expected a header row")
-    missing = [n for n in names if n not in header]
-    if missing:
-        raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
-    index = [header.index(n) for n in names]
-    body, table = lines[reader.line_num :], np.empty((0, 0))
-    text, longest = "".join(body), max(map(len, body), default=0)
-    # float() keeps \x1c-\x1f, which numpy strips from a number; csv.reader caps a field's size
-    if longest <= csv.field_size_limit() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
+        index = [header.index(n) for n in names]
+        # numpy parses the rows, but a line it may read otherwise than csv.reader and float()
+        # do (over csv's field limit, or unprintable as \x1c-\x1f) reads as "?", which it refuses
+        limit, table = csv.field_size_limit(), ()
+        lines = (s if len(s) <= limit and s.rstrip("\r\n").isprintable() else "?" for s in fh)
         with warnings.catch_warnings(), contextlib.suppress(ValueError):  # the csv loop words it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
-    if len(table) and table.shape[1] == len(header):
-        return [table[:, i].tolist() for i in index]
-    cols = [[] for _ in names]
-    try:
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise ValueError(f"{len(row)} fields, header has {len(header)}")
-            for col, i in zip(cols, index):
-                col.append(float(row[i]))
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if len(table) and table.shape[1] == len(header):
+            return [table[:, i].tolist() for i in index]
+        fh.seek(0)
+        next(reader := csv.reader(fh))
+        cols = [[] for _ in names]
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                for col, i in zip(cols, index):
+                    col.append(float(row[i]))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not cols[0]:
         raise ValueError(f"{path}: header but no data rows")
     return cols

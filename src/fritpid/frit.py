@@ -90,15 +90,16 @@ class ClosedLoopDataset:
         """Read a file written by `save`; `ValueError` names what is malformed."""
         path, sidecar = dataset_files(path)
         try:
-            # an integer too large for a float reads as inf, not OverflowError
             meta = json.loads(sidecar.read_text(), parse_int=float)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sidecar} is not JSON: {exc}") from exc
         ts = meta.get("ts") if isinstance(meta, dict) else None
-        if not isinstance(ts, float) or not math.isfinite(ts):
-            raise ValueError(f"{sidecar}: expected an object with a finite numeric ts field")
+        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+            raise ValueError(f"{sidecar}: expected an object with a numeric ts field")
+        if ts == math.inf:  # parse_int=float reads an integer too large for a float as inf
+            raise ValueError(f"{sidecar}: ts is too large for a float")
         r, u, y = read_columns(path, ("r", "u", "y"))
-        return cls(u0=u, y0=y, r=r, ts=ts)
+        return cls(u0=u, y0=y, r=r, ts=float(ts))
 
 
 def dataset_files(path, what: str = "dataset") -> tuple[Path, Path]:

@@ -449,7 +449,7 @@ class TestTune:
             pytest.param(f'k,r,u,"{"y" * 200_000}"\r\n0,1,2,0\r\n', TS_JSON,
                          "line 1: field larger than field limit", id="huge-header-field"),
             pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", '{"ts": 1' + "0" * 400 + "}",
-                         "experiment.json: expected an object with a finite numeric ts field",
+                         "experiment.json: ts is too large for a float",
                          id="sidecar-ts-too-large-for-a-float"),
         ],
     )
