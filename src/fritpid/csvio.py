@@ -62,10 +62,11 @@ def read_columns(path, names) -> list[list[float]]:
         if missing:
             raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
         index = [header.index(n) for n in names]
-        # numpy parses the rows, but a line it may read otherwise than csv.reader and float()
-        # do (over csv's field limit, or unprintable as \x1c-\x1f) reads as "?", which it refuses
+        # numpy parses the rows, but a line it may read otherwise than csv.reader and float() do
+        # (over csv's field limit; \x1c-\x1f, which numpy strips) reads as "?", which it refuses
         limit, table = csv.field_size_limit(), ()
-        lines = (s if len(s) <= limit and s.rstrip("\r\n").isprintable() else "?" for s in fh)
+        lines = (s if len(s) <= limit and "\x1c" not in s and "\x1d" not in s
+                 and "\x1e" not in s and "\x1f" not in s else "?" for s in fh)
         with warnings.catch_warnings(), contextlib.suppress(ValueError):  # the csv loop words it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
