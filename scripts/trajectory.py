@@ -16,6 +16,9 @@ alike.  The JSON written holds, per checkout:
   summary              per workload and metric: median, q1, q3 and n over the seeds
   opcodes_per_step     per estimator mode, from scripts/step_cost.py
   opcodes_per_layer    per mode, the opcodes per step of each function (co_qualname)
+  cli_wall_s           per CLI command, the wall seconds of each of 5 real
+                       `python -m fritpid` processes (runs) and their median;
+                       the checkouts take turns going first here too
 
 Nothing under perfbench/ is changed; every run lasts BENCHMARK.json's
 run_seconds.
@@ -29,10 +32,14 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(5)
+CLI_REPEATS = 5
+CLI_COMMANDS = ["compare scenarios/load_change.json",
+                "compare scenarios/load_change.json --mu 0.99,0.9"]
 STEP_COST = """
 import json, sys
 sys.path.insert(0, "scripts")
@@ -66,6 +73,30 @@ def step_cost(root: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def in_turn(names: list, turn: int) -> list:
+    """The names, starting from the one whose turn it is to go first."""
+    return names[turn % len(names):] + names[:turn % len(names)]
+
+
+def cli_wall_s(roots: dict) -> dict:
+    """{name: {command: {median, runs}}}: the wall seconds of CLI_REPEATS real
+    `python -m fritpid` processes of each of CLI_COMMANDS in each checkout (NAME: DIR)."""
+    out = {name: {command: {"runs": []} for command in CLI_COMMANDS} for name in roots}
+    for turn in range(CLI_REPEATS):
+        for command in CLI_COMMANDS:
+            for name in in_turn(list(roots), turn):
+                root = Path(roots[name]).resolve()
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "fritpid", *command.split()], cwd=root,
+                               capture_output=True, check=True,
+                               env={**os.environ, "PYTHONPATH": str(root / "src")})
+                out[name][command]["runs"].append(time.perf_counter() - t0)
+    for timings in out.values():
+        for entry in timings.values():
+            entry["median"] = statistics.median(entry["runs"])
+    return out
+
+
 def summary(runs: list, workload: str) -> dict:
     """{metric: {median, q1, q3, n}} over the runs of one workload."""
     by_metric = {}
@@ -94,7 +125,7 @@ def main(argv=None) -> int:
     turn = 0
     for seed in SEEDS:
         for workload in (w["name"] for w in spec["workloads"]):
-            names = list(roots)[turn % len(roots):] + list(roots)[:turn % len(roots)]
+            names = in_turn(list(roots), turn)
             turn += 1
             for name in names:
                 machine, result = bench(Path(roots[name]).resolve(), workload, seed, seconds)
@@ -111,11 +142,13 @@ def main(argv=None) -> int:
                 })
                 print(name, workload, seed, json.dumps(results[name]["runs"][-1]["metrics"]),
                       flush=True)
+    walls = cli_wall_s(roots)
     for name, root in roots.items():
         entry = results[name]
         entry["summary"] = {w["name"]: summary(entry["runs"], w["name"])
                             for w in spec["workloads"]}
         entry.update(step_cost(Path(root).resolve()))
+        entry["cli_wall_s"] = walls[name]
     Path(args.out).write_text(json.dumps(
         {"seconds": seconds, "seeds": list(SEEDS), "checkouts": results}, indent=1) + "\n")
     return 0

@@ -18,10 +18,11 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .adaptive import NumericalBreakdownError
-from .frit import ClosedLoopDataset, batch_tune, dataset_files, frit_cost
+from .frit import ClosedLoopDataset, UnstableInverseWarning, batch_tune, dataset_files, frit_cost
 from .harness import (
     ESTIMATOR_MODES,
     ConfigError,
@@ -66,7 +67,11 @@ def _cmd_tune(args) -> int:
     gm = ReferenceModel.first_order(data.ts, tau=args.gm_tau, dc_gain=args.gm_dc_gain,
                                     discretization="zoh" if args.exact_zoh else "euler")
     theta = batch_tune(data, gm)
-    cost = frit_cost(theta, data, gm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnstableInverseWarning)
+        cost = frit_cost(theta, data, gm)
+    for w in caught:  # one worded line, not the file, line and source of the warning
+        print(f"warning: {w.message}", file=sys.stderr)
     print(f"kp = {theta[0]:.6g}")
     print(f"ki = {theta[1]:.6g}")
     print(f"kd = {theta[2]:.6g}")

@@ -12,13 +12,21 @@ import pytest
 from conftest import matched_loop_data
 from fritpid import harness
 from fritpid.cli import main
-from fritpid.controller import PidController
-from fritpid.frit import ClosedLoopDataset, UnstableInverseWarning
+from fritpid.controller import PidBasis
+from fritpid.frit import ClosedLoopDataset
 from fritpid.harness import ConfigError, ScenarioConfig
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
 TS_JSON = '{"ts": 0.01}'
 MATCHED_LTI = Path(__file__).resolve().parent.parent / "scenarios" / "matched_lti.json"
+
+
+def strict_json(path: Path):
+    """The JSON value in a file, refusing NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def tree(root: Path) -> dict:
@@ -207,7 +215,7 @@ class TestRun:
         def no_step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(PidController, "step", no_step)
+        monkeypatch.setattr(PidBasis, "step", no_step)
         path = f"scenarios/{scenario}.json"
         assert main(["run", path, "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
@@ -226,7 +234,7 @@ class TestRun:
         def no_step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(PidController, "step", no_step)
+        monkeypatch.setattr(PidBasis, "step", no_step)
         raw = json.loads(Path("scenarios/matched_lti.json").read_text())
         raw["reference"] = reference
         bad = tmp_path / "bad.json"
@@ -315,7 +323,7 @@ class TestRun:
         def no_step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(PidController, "step", no_step)
+        monkeypatch.setattr(PidBasis, "step", no_step)
         (tmp_path / "taken").write_text("")
         (tmp_path / "x.json").mkdir()  # the sidecar of x.csv
         argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
@@ -332,7 +340,7 @@ class TestRun:
         def no_step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(PidController, "step", no_step)
+        monkeypatch.setattr(PidBasis, "step", no_step)
         scenario = short_scenario.rename(tmp_path / file)  # the scenario is named "short"
         before = tree(tmp_path)
         assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
@@ -500,29 +508,14 @@ class TestTune:
         ClosedLoopDataset(u0=1e170 * rng.standard_normal(n), y0=rng.standard_normal(n),
                           r=np.ones(n), ts=0.01).save(path)
         out = tmp_path / "gains.json"
-        with pytest.warns(UnstableInverseWarning):
-            assert main(["tune", str(path), "--out", str(out)]) == 0
-        assert "model-reference cost = inf" in capsys.readouterr().out
-
-        def strict(token):
-            raise ValueError(f"{token} is not JSON")
-
-        gains = json.loads(out.read_text(), parse_constant=strict)
+        assert main(["tune", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert "model-reference cost = inf" in printed.out
+        assert re.fullmatch(r"warning: controller inverse is unstable \(zero magnitude \d+\.\d{4}\)\n",
+                            printed.err)
+        gains = strict_json(out)
         assert gains["cost"] is None
         assert sorted(gains) == ["cost", "theta0"] and len(gains["theta0"]) == 3
-
-    def test_overflowing_normal_matrix_exits_3_with_one_line(self, tmp_path):
-        # LAPACK's complaints go to file descriptor 2, so run a real process
-        data = matched_loop_data(THETA_STAR, n=500)
-        data.y0 *= 1e300
-        path = tmp_path / "huge.csv"
-        data.save(path)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-m", "fritpid", "tune", str(path)],
-                              capture_output=True, text=True, env=env)
-        assert done.returncode == 3
-        assert done.stderr == "numerical breakdown: regressor normal matrix is not finite\n"
 
 
 class TestSweepAndCompare:
@@ -675,3 +668,45 @@ class TestSweepAndCompare:
         monkeypatch.setattr(harness, "run_scenario", counted)
         assert main(["compare", str(tmp_path)]) == 2
         assert calls == []
+
+
+SWEEP_IS_GONE = """\
+usage: fritpid [-h] {tune,run,compare} ...
+fritpid: error: argument command: invalid choice: 'sweep' (choose from 'tune', 'run', 'compare')
+"""
+EF_BREAKS_DOWN = ("numerical breakdown: step 4002 (t=40.020s): information matrix is not "
+                  "positive definite (scaled minors 0.9000099006879578, 0.0)\n")
+
+
+@pytest.mark.parametrize("commands, code, stderr", [
+    pytest.param([["run", str(MATCHED_LTI), "--out", ".", "--save-dataset", "experiment.csv"],
+                  ["tune", "experiment.csv", "--out", "gains.json"]], 0, "", id="offline-flow"),
+    pytest.param([["run", str(MATCHED_LTI.with_name("method_comparison.json")), "--seed", "0",
+                   "--out", ".", "--save-dataset", "record.csv"], ["tune", "record.csv"]], 0,
+                 "warning: controller inverse is unstable (zero magnitude 16.6624)\n",
+                 id="unstable-inverse"),
+    pytest.param([["tune", "huge.csv"]], 3,
+                 "numerical breakdown: regressor normal matrix is not finite\n",
+                 id="overflowing-normal-matrix"),  # and no LAPACK DLASCL complaint
+    pytest.param([["compare", str(MATCHED_LTI), "--methods", "ef,df", "--mu", "0.99,0.9"]], 3,
+                 EF_BREAKS_DOWN, id="ef-breaks-down"),
+    pytest.param([["sweep", str(MATCHED_LTI)]], 2, SWEEP_IS_GONE, id="sweep-is-gone"),
+    pytest.param([["tune", "header_only.csv"]], 2,  # and no numpy "input contained no data"
+                 "error: header_only.csv: header but no data rows\n", id="header-only"),
+])
+def test_real_process(tmp_path, commands, code, stderr):
+    """Each command as `python -m fritpid` in tmp_path, in turn: the last one exits with
+    `code` and writes exactly `stderr`, and every JSON file in tmp_path is strict JSON.
+    Only a real process shows the exit status and what reaches file descriptor 2."""
+    data = matched_loop_data(THETA_STAR, n=500)
+    data.y0 *= 1e300  # the normal matrix overflows
+    data.save(tmp_path / "huge.csv")
+    (tmp_path / "header_only.csv").write_bytes(b"k,r,u,y\r\n")
+    (tmp_path / "header_only.json").write_text(TS_JSON)
+    env = {**os.environ, "PYTHONPATH": str(MATCHED_LTI.parents[1] / "src")}
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "fritpid", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (code, stderr)
+    for path in tmp_path.glob("*.json"):
+        strict_json(path)

@@ -3,8 +3,9 @@
 The abstract claims that adaptive FRIT with exponential forgetting (``ef``)
 degrades or goes unstable without persistent excitation while directional
 forgetting (``df``) does not, and that ``df`` is robust to changes in the
-plant's characteristics and in the target trajectory.  Each check runs a
-bundled scenario over its own trial seeds:
+plant's characteristics and in the target trajectory.  The first three
+checks run a bundled scenario over its own trial seeds, the fourth a
+scenario written in the test:
 
 * load change: on ``load_change`` (the Bouc-Wen plant's gain and time
   constant switch at 50 s), df's worst-trial MAE is below the best trial of
@@ -13,7 +14,10 @@ bundled scenario over its own trial seeds:
   worst-trial MAE is below the best trial of every other mode;
 * no persistent excitation: on ``matched_lti`` (noise-free, the loop settles
   on each half-period of a slow square wave), ef breaks down, while df and
-  er track the reference model and keep the covariance bounded by P(0).
+  er track the reference model and keep the covariance bounded by P(0);
+* no persistent excitation on the paper's plant class: on the noise-free
+  Bouc-Wen plant holding a constant 50 mm, ef breaks down, while df and er
+  track the reference model and keep the covariance bounded by P(0).
 
 Not checked here: that ``matched_lti``'s windowed excitation is below a
 floor, which needs a function that measures excitation over a trace.
@@ -75,3 +79,19 @@ def test_df_and_er_hold_without_persistent_excitation(mode):
     assert trace.mae < 1e-6
     # P(0) = I / r0 bounds P up to rounding: er's pmax peaks at 100.00000095 for 1/r0 = 100
     assert trace["pmax"].max() <= (1.0 / cfg.estimator.r0) * (1.0 + 1e-6)
+
+
+def test_no_persistent_excitation_on_the_hysteretic_plant():
+    cfg = ScenarioConfig.from_dict({
+        "name": "hold_50mm", "duration": 200.0,
+        "reference": {"kind": "constant", "offset": 50.0},
+        "estimator": {"mode": "ef", "mu": 0.9, "theta0": [0.1, 0.1, 0.01]},
+        "plant": {"kind": "bouc_wen", "noise_std": 0.0},
+        "evaluation_window": [150.0, 200.0],
+    })
+    with pytest.raises(NumericalBreakdownError, match="information matrix is not positive definite"):
+        run_scenario(cfg)
+    for mode in ("df", "er"):
+        trace = run_scenario(replace(cfg, estimator=replace(cfg.estimator, mode=mode)))
+        assert trace.mae < 1e-6
+        assert trace["pmax"].max() <= (1.0 / cfg.estimator.r0) * (1.0 + 1e-6)
