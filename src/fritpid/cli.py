@@ -22,7 +22,7 @@ import warnings
 from pathlib import Path
 
 from .adaptive import NumericalBreakdownError
-from .frit import ClosedLoopDataset, UnstableInverseWarning, batch_tune, dataset_files, frit_cost
+from .frit import ClosedLoopDataset, UnstableInverseWarning, batch_tune, frit_cost
 from .harness import (
     ESTIMATOR_MODES,
     ConfigError,
@@ -61,8 +61,7 @@ def _check_paths(reads, writes, made: Path | None = None) -> None:
 
 
 def _cmd_tune(args) -> int:
-    dataset, sidecar = dataset_files(args.dataset)
-    _check_paths([("dataset", dataset), ("dataset sidecar", sidecar)], [("--out", args.out)])
+    _check_paths([("dataset", args.dataset)], [("--out", args.out)])
     data = ClosedLoopDataset.load(args.dataset)
     gm = ReferenceModel.first_order(data.ts, tau=args.gm_tau, dc_gain=args.gm_dc_gain,
                                     discretization="zoh" if args.exact_zoh else "euler")
@@ -93,8 +92,7 @@ def _cmd_run(args) -> int:
     if args.save_dataset is not None:
         if round(cfg.duration / cfg.ts) < 2:  # the steps of the run, as run_scenario counts
             raise ConfigError(f"--save-dataset needs a run of 2 steps or more: {args.scenario}")
-        dataset, sidecar = dataset_files(args.save_dataset, "--save-dataset")
-        writes += [("--save-dataset", dataset), ("--save-dataset sidecar", sidecar)]
+        writes.append(("--save-dataset", args.save_dataset))
     _check_paths([("scenario", args.scenario)], writes, made=outdir)
     t0 = time.perf_counter()
     trace = run_scenario(cfg, seed=args.seed)
@@ -109,7 +107,7 @@ def _cmd_run(args) -> int:
     if args.save_dataset is not None:
         ClosedLoopDataset(
             u0=trace["u"], y0=trace["y"], r=trace["r"], ts=cfg.ts
-        ).save(dataset)
+        ).save(args.save_dataset)
     print(f"trace: {trace_path}")
     print(f"MAE = {summary['mae']:.6g}, maxAE = {summary['max_ae']:.6g}")
     return EXIT_OK
@@ -179,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tune = sub.add_parser("tune", help="offline tuning from a closed-loop CSV")
-    p_tune.add_argument("dataset", help="CSV with k,r,u,y columns (+ .json sidecar)")
+    p_tune.add_argument("dataset", help="CSV with t,r,u,y columns, such as a run trace")
     p_tune.add_argument("--gm-tau", type=float, default=GmSpec.tau)
     p_tune.add_argument("--gm-dc-gain", type=float, default=GmSpec.dc_gain)
     p_tune.add_argument("--exact-zoh", action="store_true",

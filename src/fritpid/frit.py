@@ -12,12 +12,10 @@ least squares instead and keeps the nonconvex cost as an evaluation metric.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -75,38 +73,28 @@ class ClosedLoopDataset:
         return len(self.u0)
 
     def save(self, path) -> None:
-        """Write `k,r,u,y` rows plus a `.json` sidecar holding ts."""
-        path, sidecar = dataset_files(path)
+        """Write `t,r,u,y` rows, t = k * ts as the run trace writes it."""
         write_columns(
             path,
-            ("k", "r", "u", "y"),
-            (np.arange(len(self)), self.r, self.u0, self.y0),
-            ("%d", "%r", "%r", "%r"),
+            ("t", "r", "u", "y"),
+            (np.arange(len(self)) * self.ts, self.r, self.u0, self.y0),
+            ("%r",) * 4,
         )
-        sidecar.write_text(json.dumps({"ts": self.ts}) + "\n")
 
     @classmethod
     def load(cls, path) -> "ClosedLoopDataset":
-        """Read a file written by `save`; `ValueError` names what is malformed."""
-        path, sidecar = dataset_files(path)
+        """Read the `t,r,u,y` columns of a file, such as `save` or a run trace writes, with
+        ts = t[1] - t[0]; a `ValueError` names the file and what is malformed."""
+        t, r, u, y = read_columns(path, ("t", "r", "u", "y"))
+        ts = t[1] - t[0] if len(t) > 1 else math.nan
         try:
-            meta = json.loads(sidecar.read_text(), parse_int=float)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{sidecar} is not JSON: {exc}") from exc
-        ts = meta.get("ts") if isinstance(meta, dict) else None
-        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-            raise ValueError(f"{sidecar}: expected an object with a numeric ts field")
-        if ts == math.inf:  # parse_int=float reads an integer too large for a float as inf
-            raise ValueError(f"{sidecar}: ts is too large for a float")
-        r, u, y = read_columns(path, ("r", "u", "y"))
-        return cls(u0=u, y0=y, r=r, ts=float(ts))
-
-
-def dataset_files(path, what: str = "dataset") -> tuple[Path, Path]:
-    """The CSV at `path` and its `.json` sidecar; an error names `path` as `what`."""
-    if not Path(path).name:  # such as "/", which has no name to give a suffix
-        raise ValueError(f"{what} {str(path)!r} needs a file name")
-    return Path(path), Path(path).with_suffix(".json")
+            data = cls(u0=u, y0=y, r=r, ts=ts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        with np.errstate(invalid="ignore", over="ignore"):  # a step through inf is uneven too
+            if not np.all(np.abs(np.diff(t) - ts) <= 1e-6 * ts):
+                raise ValueError(f"{path}: t is not evenly spaced by t[1] - t[0] = {ts!r}")
+        return data
 
 
 def fictitious_reference(theta, data: ClosedLoopDataset) -> np.ndarray:

@@ -13,11 +13,11 @@ from conftest import matched_loop_data
 from fritpid import harness
 from fritpid.cli import main
 from fritpid.controller import PidBasis
-from fritpid.frit import ClosedLoopDataset
+from fritpid.frit import ClosedLoopDataset, batch_tune
 from fritpid.harness import ConfigError, ScenarioConfig
+from fritpid.lti import ReferenceModel
 
 THETA_STAR = np.array([0.107, 0.1515, 0.0115])
-TS_JSON = '{"ts": 0.01}'
 MATCHED_LTI = Path(__file__).resolve().parent.parent / "scenarios" / "matched_lti.json"
 
 
@@ -301,37 +301,34 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json", "taken"]
         assert (tmp_path / "taken").read_text() == ""
 
-    @pytest.mark.parametrize("out, dataset", [
-        ("taken", None),
-        ("taken/out", None),
-        ("out", "no/such/dir/x.csv"),
-        ("out", "out/sub/x.csv"),
-        ("out", "."),
-        ("out", "x.csv"),
-        ("out", "out/y.json"),
-        ("out", "out/matched_lti_trace.csv"),
-        ("out", "out/matched_lti_summary.csv"),
-        ("out", MATCHED_LTI),
-        ("out", "/"),
-        ("out", ""),
-    ], ids=["out-is-a-file", "out-under-a-file", "dataset-dir-missing",
-            "dataset-dir-under-out", "dataset-is-a-directory", "sidecar-is-a-directory",
-            "dataset-is-its-sidecar", "dataset-is-the-trace", "sidecar-is-the-summary",
-            "dataset-is-the-scenario", "dataset-has-no-file-name", "dataset-is-empty"])
+    @pytest.mark.parametrize("out, dataset, message", [
+        pytest.param("taken", None, "taken is not a directory", id="out-is-a-file"),
+        pytest.param("taken/out", None, "taken is not a directory", id="out-under-a-file"),
+        pytest.param("out", "no/such/dir/x.csv", "no directory", id="dataset-dir-missing"),
+        pytest.param("out", "out/sub/x.csv", "no directory", id="dataset-dir-under-out"),
+        pytest.param("out", ".", "is a directory", id="dataset-is-a-directory"),
+        pytest.param("out", "out/matched_lti_trace.csv", "is the same file as --out",
+                     id="dataset-is-the-trace"),
+        pytest.param("out", MATCHED_LTI, "is the same file as scenario",
+                     id="dataset-is-the-scenario"),
+        pytest.param("out", "/", "--save-dataset / is a directory",
+                     id="dataset-has-no-file-name"),
+        pytest.param("out", "", "--save-dataset . is a directory", id="dataset-is-empty"),
+    ])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
-                                                   out, dataset):
+                                                   out, dataset, message):
         def no_step(*args):
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(PidBasis, "step", no_step)
         (tmp_path / "taken").write_text("")
-        (tmp_path / "x.json").mkdir()  # the sidecar of x.csv
         argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
         if dataset is not None:
             argv += ["--save-dataset", str(tmp_path / dataset) if dataset else ""]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: --")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "x.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and message in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
         assert (tmp_path / "taken").read_text() == ""
 
     @pytest.mark.parametrize("file", ["short_trace.csv", "short_summary.json"])
@@ -363,7 +360,7 @@ class TestRun:
         assert main(["run", str(short_scenario), "--out", f"{out}/",
                      "--save-dataset", str(out / "." / "experiment.csv")]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "experiment.csv", "experiment.json", "short_summary.json", "short_trace.csv"]
+            "experiment.csv", "short_summary.json", "short_trace.csv"]
 
     def test_huge_trial_count_loads_and_runs(self, tmp_path, short_scenario):
         raw = json.loads(short_scenario.read_text())
@@ -407,8 +404,8 @@ class TestRun:
             ["run", str(short_scenario), "--out", str(tmp_path), "--save-dataset", str(ds)]
         )
         assert code == 0
-        assert ds.exists()
-        assert ds.with_suffix(".json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run_data.csv", "short.json", "short_summary.json", "short_trace.csv"]
 
     def test_dataset_fields_match_trace_fields(self, tmp_path, short_scenario):
         ds = tmp_path / "run_data.csv"
@@ -417,7 +414,7 @@ class TestRun:
 
         def fields(path):
             lines = path.read_bytes().split(b"\r\n")
-            index = [lines[0].split(b",").index(c) for c in (b"k", b"r", b"u", b"y")]
+            index = [lines[0].split(b",").index(c) for c in (b"t", b"r", b"u", b"y")]
             return [[row.split(b",")[i] for i in index] for row in lines[1:-1]]
 
         trace = fields(tmp_path / "short_trace.csv")
@@ -440,40 +437,63 @@ class TestTune:
         tuned = json.loads(out.read_text())["theta0"]
         assert tuned == pytest.approx(THETA_STAR, rel=1e-4)
 
+    def test_trace_and_its_dataset_tune_to_the_same_bytes(self, tmp_path, short_scenario):
+        assert main(["run", str(short_scenario), "--out", str(tmp_path),
+                     "--save-dataset", str(tmp_path / "data.csv")]) == 0
+        for name in ("short_trace.csv", "data.csv"):
+            assert main(["tune", str(tmp_path / name), "--out", str(tmp_path / f"{name}.json")]) == 0
+        gains = (tmp_path / "data.csv.json").read_bytes()
+        assert (tmp_path / "short_trace.csv.json").read_bytes() == gains
+
+    def test_exact_zoh_tunes_against_the_zoh_reference_model(self, tmp_path):
+        data = matched_loop_data(THETA_STAR)
+        path = tmp_path / "experiment.csv"
+        data.save(path)
+        tuned = {}
+        for flags in ([], ["--exact-zoh"]):
+            assert main(["tune", str(path), *flags, "--out", str(tmp_path / "gains.json")]) == 0
+            tuned[bool(flags)] = json.loads((tmp_path / "gains.json").read_text())["theta0"]
+        zoh = batch_tune(data, ReferenceModel.first_order(data.ts, discretization="zoh"))
+        assert tuned[True] == zoh.tolist()
+        assert tuned[True] != tuned[False]
+
     @pytest.mark.parametrize(
-        "text, sidecar, message",
+        "text, message",
         [
-            pytest.param("k,r,y\r\n0,1,0\r\n1,1,0.1\r\n", TS_JSON, "no column u", id="no-u-column"),
-            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2\r\n", TS_JSON, "line 3: 3 fields", id="short-row"),
-            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "{}", "ts field", id="sidecar-without-ts"),
-            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,x,0\r\n", TS_JSON, "line 3", id="not-a-number"),
-            pytest.param("k,r,u,y\r\n", TS_JSON, "no data rows", id="header-only"),
-            pytest.param("", TS_JSON, "empty file", id="empty"),
-            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "", "is not JSON",
-                         id="sidecar-not-json"),
-            pytest.param(None, None, "error: dataset '/' needs a file name", id="no-file-name"),
-            pytest.param(f'k,r,u,y\r\n0,1,2,0\r\n1,1,2,"{"9" * 200_000}"\r\n', TS_JSON,
+            pytest.param("t,r,y\r\n0,1,0\r\n0.01,1,0.1\r\n", "no column u", id="no-u-column"),
+            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", "header k,r,u,y has no column t",
+                         id="no-t-column"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n0.01,1,2\r\n", "line 3: 3 fields", id="short-row"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n0.01,1,x,0\r\n", "line 3", id="not-a-number"),
+            pytest.param("t,r,u,y\r\n", "no data rows", id="header-only"),
+            pytest.param("", "empty file", id="empty"),
+            pytest.param(None, "error: [Errno 21] Is a directory: '/'", id="no-file-name"),
+            pytest.param(f't,r,u,y\r\n0,1,2,0\r\n0.01,1,2,"{"9" * 200_000}"\r\n',
                          "line 3: field larger than field limit", id="huge-quoted-field"),
-            pytest.param(f'k,r,u,"{"y" * 200_000}"\r\n0,1,2,0\r\n', TS_JSON,
+            pytest.param(f't,r,u,"{"y" * 200_000}"\r\n0,1,2,0\r\n',
                          "line 1: field larger than field limit", id="huge-header-field"),
-            pytest.param("k,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\n", '{"ts": 1' + "0" * 400 + "}",
-                         "experiment.json: ts is too large for a float",
-                         id="sidecar-ts-too-large-for-a-float"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n0.01,1,nan,0\r\n", "non-finite samples",
+                         id="non-finite-sample"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n", "equal length >= 2", id="one-row"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n-1,1,2,0\r\n", "ts must be positive",
+                         id="t-goes-back"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n0.01,1,2,0\r\n0.03,1,2,0\r\n",
+                         "t is not evenly spaced by t[1] - t[0] = 0.01", id="uneven-t"),
+            pytest.param("t,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\ninf,1,2,0\r\ninf,1,2,0\r\n",
+                         "t is not evenly spaced", id="t-reaches-inf"),  # and no RuntimeWarning
         ],
     )
-    def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, sidecar, message):
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "experiment.csv"
-        if text is None:  # the dataset is "/", which has no file name
+        if text is None:  # the dataset is "/", a directory
             path = Path("/")
         else:
             path.write_text(text, newline="")
-            path.with_suffix(".json").write_text(sidecar)
         assert main(["tune", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and (text is None or "experiment." in err)
 
-    @pytest.mark.parametrize("out", ["experiment.json", "experiment.csv"],
-                             ids=["out-is-the-sidecar", "out-is-the-csv"])
+    @pytest.mark.parametrize("out", ["experiment.csv"], ids=["out-is-the-csv"])
     def test_out_that_is_the_dataset_exits_2_before_reading_it(self, tmp_path, capsys,
                                                                monkeypatch, out):
         path = tmp_path / "experiment.csv"
@@ -701,8 +721,7 @@ def test_real_process(tmp_path, commands, code, stderr):
     data = matched_loop_data(THETA_STAR, n=500)
     data.y0 *= 1e300  # the normal matrix overflows
     data.save(tmp_path / "huge.csv")
-    (tmp_path / "header_only.csv").write_bytes(b"k,r,u,y\r\n")
-    (tmp_path / "header_only.json").write_text(TS_JSON)
+    (tmp_path / "header_only.csv").write_bytes(b"t,r,u,y\r\n")
     env = {**os.environ, "PYTHONPATH": str(MATCHED_LTI.parents[1] / "src")}
     for argv in commands:
         done = subprocess.run([sys.executable, "-m", "fritpid", *argv], cwd=tmp_path, env=env,

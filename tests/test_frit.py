@@ -171,11 +171,10 @@ def reference_dataset_csv(data, path):
     """The row-at-a-time `csv.writer` loop that defined the dataset format."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "r", "u", "y"])
+        writer.writerow(["t", "r", "u", "y"])
         for k in range(len(data)):
-            writer.writerow(
-                [k, repr(float(data.r[k])), repr(float(data.u0[k])), repr(float(data.y0[k]))]
-            )
+            writer.writerow([repr(k * data.ts), repr(float(data.r[k])),
+                             repr(float(data.u0[k])), repr(float(data.y0[k]))])
 
 
 def awkward_dataset():
@@ -198,12 +197,12 @@ class TestCsvRoundTrip:
         reference_dataset_csv(data, tmp_path / "ref.csv")
         written = (tmp_path / "new.csv").read_bytes()
         assert written == (tmp_path / "ref.csv").read_bytes()
-        assert b"\r\n1,1.5e+16,-1e-05," in written
+        assert b"\r\n0.01,1.5e+16,-1e-05," in written
 
     @pytest.mark.parametrize("n", [2, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS])
     def test_stepped_reference_bytes_match_reference_writer(self, tmp_path, n):
         # r is 1.0 over chunk 1, -0.0 then 0.0 over chunk 2 and 2.0 over chunk 3;
-        # u mixes 0.0 and -0.0 over chunk 1; k is an int64 column
+        # u mixes 0.0 and -0.0 over chunk 1; t is k * ts
         data = matched_loop_data(THETA_STAR, n=n)
         data.r[:] = np.repeat([1.0, 1.0, -0.0, 0.0, 2.0, 2.0], CHUNK_ROWS // 2)[:n]
         data.u0[: CHUNK_ROWS + 1] = np.where(np.arange(CHUNK_ROWS + 1) % 3 == 1, -0.0, 0.0)[:n]
@@ -211,8 +210,9 @@ class TestCsvRoundTrip:
         reference_dataset_csv(data, tmp_path / "ref.csv")
         written = (tmp_path / "new.csv").read_bytes()
         assert written == (tmp_path / "ref.csv").read_bytes()
-        assert written.split(b"\r\n")[-2].startswith(b"%d," % (n - 1))
+        assert written.split(b"\r\n")[-2].startswith(repr((n - 1) * TS).encode() + b",")
         loaded = ClosedLoopDataset.load(tmp_path / "new.csv")
+        assert loaded.ts == data.ts
         for col in ("u0", "y0", "r"):
             assert getattr(loaded, col).tobytes() == getattr(data, col).tobytes()
 
@@ -230,8 +230,16 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "d.csv"
         data.save(path)
-        assert path.read_text().splitlines()[0] == "k,r,u,y"
-        assert (tmp_path / "d.json").exists()
+        assert path.read_text().splitlines()[0] == "t,r,u,y"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_decimal_timestamps_load(self, tmp_path):
+        # t typed as decimals, up to 99.999, steps by 1e-3 to within 1e-11 relative
+        path = tmp_path / "d.csv"
+        rows = "".join(f"{k / 1000:.3f},1,{k % 7},0\n" for k in range(100_000))
+        path.write_text("t,r,u,y\n" + rows)
+        loaded = ClosedLoopDataset.load(path)
+        assert loaded.ts == 0.001 and len(loaded) == 100_000
 
 
 def reference_read_columns(path, names):
