@@ -4,7 +4,7 @@
     python scripts/trajectory.py parent=../fritpid-parent change=. --out BENCH_27.json
 
 Each NAME=DIR names a source checkout with `perfbench/run.py` and
-`scripts/step_cost.py`.  For seeds 0-4 and every workload of BENCHMARK.json,
+`scripts/step_cost.py`.  For seeds 0-9 and every workload of BENCHMARK.json,
 each checkout runs `perfbench/run.py --trace 0` as a subprocess, so one round
 holds one run of every checkout on every workload; the checkouts take turns
 going first from run to run, so drift of the machine falls on all of them
@@ -13,7 +13,9 @@ alike.  The JSON written holds, per checkout:
   git_rev, machine     from the run's machine line (the calibration loop
                        before and after stays with each run)
   runs                 workload, seed, metrics, ok and the calibration of each run
-  summary              per workload and metric: median, q1, q3 and n over the seeds
+  summary              per workload and metric: median, q1, q3 and n over the seeds;
+                       ten seeds give ten alternating pairs of runs per workload, as a
+                       no-regression check of a change against its parent needs
   opcodes_per_step     per estimator mode, from scripts/step_cost.py
   opcodes_per_layer    per mode, the opcodes per step of each function (co_qualname)
   cli_wall_s           per CLI command, the wall seconds of each of 5 real
@@ -36,7 +38,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = range(5)
+SEEDS = range(10)
 CLI_REPEATS = 5
 CLI_COMMANDS = ["compare scenarios/load_change.json",
                 "compare scenarios/load_change.json --mu 0.99,0.9"]

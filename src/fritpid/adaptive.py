@@ -21,8 +21,8 @@ rules for R:
 
 A rule only forms the new R.  Every mode then re-solves P = R^-1 with the
 one scale-safe inverse, which also tests that R is positive definite, and
-takes the gain step k = P phi.  The rule is picked once, when the estimator
-is built.
+takes the gain step k = P phi.  `Estimator.update` picks the rule by the
+mode: ``df`` has its own, the other three share the exponential one.
 
 The per-step arithmetic is written out on Python floats: a symmetric 3x3
 matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
@@ -151,9 +151,11 @@ class Estimator:
     on every read, so writing into one does not change the estimator.
     """
 
+    MODES = ("noforget", "ef", "df", "er")  # the adaptive modes, in table order
+
     def __init__(self, mode: str, theta0, mu: float = 0.9, epsilon: float = 1e-3,
                  r0=0.01, r_inf=0.01):
-        if mode not in self._RULES:
+        if mode not in self.MODES:
             raise ValueError(f"unknown estimator mode {mode!r}")
         mu, epsilon = float(mu), float(epsilon)
         if not 0.0 < mu <= 1.0:
@@ -161,8 +163,6 @@ class Estimator:
         if not 0.0 <= epsilon < inf:
             raise ValueError(f"deadzone epsilon must be finite and >= 0, got {epsilon}")
         self.mode = mode
-        # a plain function: a bound method held by the instance is a reference cycle
-        self._rule = self._RULES[mode]
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
         self._theta = as_gains(theta0)
@@ -216,7 +216,9 @@ class Estimator:
             self.deadzone_active = sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
             if self.deadzone_active:
                 return ehat
-        R = self._rule(self, f0, f1, f2)
+            R = self._df(f0, f1, f2)
+        else:
+            R = self._exponential(f0, f1, f2)
         P = p00, p01, p02, p11, p12, p22 = _inverse(R)
         # the gain step uses the P already updated for this sample: k = P phi
         t0 = t0 - ehat * (p00 * f0 + p01 * f1 + p02 * f2)
@@ -256,9 +258,6 @@ class Estimator:
             r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
             r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
         )
-
-    _RULES = {"noforget": _exponential, "ef": _exponential, "df": _df, "er": _exponential}
-    MODES = tuple(_RULES)  # the adaptive modes, in table order
 
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:

@@ -41,16 +41,19 @@ EXIT_NUMERICAL = 3
 
 
 def _check_paths(reads, writes, made: Path | None = None) -> None:
-    """Before any work, refuse an output (flag, path) that is a directory, has no directory
-    to go in (`made`, created first, counts) or is an input or another output."""
+    """Before any work, refuse an input (flag, path) that is a directory, and an output that
+    is one, has no directory to go in (`made`, created first, counts) or is any other path."""
     real = os.path.realpath  # unlike Path.resolve on Python 3.11, no error on a symlink loop
     if made is not None:
         existing = next(p for p in (made, *made.absolute().parents) if p.exists())
         if not existing.is_dir():
             raise NotADirectoryError(f"--out {made}: {existing} is not a directory")
+    for flag, path in reads:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path} is a directory")
     seen = {real(path): f"{flag} {path}" for flag, path in reads}
-    for flag, path in ((flag, Path(p)) for flag, p in writes if p is not None):
-        where = f"{flag} {path}"
+    for flag, p, path in ((flag, p, Path(p)) for flag, p in writes if p is not None):
+        where = f"{flag} {path if p else repr(p)}"  # Path("") is ".": name what was given
         if path.is_dir():
             raise IsADirectoryError(f"{where} is a directory")
         if not (path.parent.is_dir() or made and real(path.parent) == real(made)):
@@ -119,23 +122,6 @@ def _write_json(path: Path, value) -> None:
     path.write_text(json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _report(rows: list[dict], args) -> int:
-    """Print a table of rows, and write it to --out in --format if given."""
-    keys = list(rows[0].keys())
-    widths = {k: max(len(k), *(len(_fmt(r[k])) for r in rows)) for k in keys}
-    print("  ".join(k.ljust(widths[k]) for k in keys))
-    for r in rows:
-        print("  ".join(_fmt(r[k]).ljust(widths[k]) for k in keys))
-    if args.out and args.format == "json":
-        _write_json(Path(args.out), rows)
-    elif args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=keys)
-            writer.writeheader()
-            writer.writerows(rows)
-    return EXIT_OK
-
-
 def _fmt(v) -> str:
     return f"{v:.5g}" if isinstance(v, float) else str(v)
 
@@ -156,7 +142,19 @@ def _cmd_compare(args) -> int:
     rows = compare_methods(cfgs)
     if args.mu is not None:
         rows = [{**row, "mu": cfg.estimator.mu} for row, cfg in zip(rows, cfgs)]
-    return _report(rows, args)
+    keys = list(rows[0].keys())
+    widths = {k: max(len(k), *(len(_fmt(r[k])) for r in rows)) for k in keys}
+    print("  ".join(k.ljust(widths[k]) for k in keys))
+    for r in rows:
+        print("  ".join(_fmt(r[k]).ljust(widths[k]) for k in keys))
+    if args.out and Path(args.out).suffix == ".json":
+        _write_json(Path(args.out), rows)
+    elif args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=keys)
+            writer.writeheader()
+            writer.writerows(rows)
+    return EXIT_OK
 
 
 def _forgetting_factors(text: str) -> list[float]:
@@ -193,11 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also save the run as a closed-loop dataset CSV")
     p_run.set_defaults(func=_cmd_run)
 
-    table = argparse.ArgumentParser(add_help=False)  # the options of a command that prints a table
-    table.add_argument("--out", default=None, help="also write the table to this file")
-    table.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_cmp = sub.add_parser("compare", parents=[table], help="compare estimator methods")
+    p_cmp = sub.add_parser("compare", help="compare estimator methods")
     p_cmp.add_argument("scenario", help="scenario JSON, or a directory whose *.json files are "
                        "the scenarios; each is compared over --methods")
     p_cmp.add_argument("--methods", default=",".join(ESTIMATOR_MODES),
@@ -205,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "down on scenarios/matched_lti.json, so with the default "
                        "`compare scenarios/` exits 3)")
     p_cmp.add_argument("--mu", help="comma list of forgetting factors to cross with --methods")
+    p_cmp.add_argument("--out", help="also write the table to this file: JSON if it ends in "
+                       ".json, else CSV")
     p_cmp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -130,19 +130,18 @@ def frit_cost(theta, data: ClosedLoopDataset, gm: ReferenceModel) -> float:
         return float(resid @ resid)
 
 
-def regressor_samples(
-    data: ClosedLoopDataset, gm: ReferenceModel, skip: int = TRANSIENT_SKIP
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch (Phi, d) arrays from a dataset, transient samples dropped."""
+def regressor_samples(data: ClosedLoopDataset, gm: ReferenceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Batch (Phi, d) arrays from a dataset, one row per sample."""
     # RegressorGenerator's stages, each over the whole record: the same floats
     rows = map(PidBasis(data.ts).step, one_minus(gm.filter).filter(data.y0))
     phis = np.fromiter(chain.from_iterable(rows), float, 3 * len(data)).reshape(-1, 3)
-    return phis[skip:], np.array(gm.filter.filter(data.u0))[skip:]
+    return phis, np.array(gm.filter.filter(data.u0))
 
 
 def batch_tune(data: ClosedLoopDataset, gm: ReferenceModel) -> np.ndarray:
-    """Gains minimizing the convex surrogate, by normal equations."""
+    """Gains minimizing the convex surrogate, by normal equations, transient samples dropped."""
     phis, ds = regressor_samples(data, gm)
+    phis, ds = phis[TRANSIENT_SKIP:], ds[TRANSIENT_SKIP:]
     with np.errstate(over="ignore", invalid="ignore"):
         A = phis.T @ phis
     if not np.isfinite(A).all():  # before cond, whose LAPACK call would complain on fd 2

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -152,10 +154,20 @@ class TestSampleCheck:
         except NumericalBreakdownError as exc:
             assert "non-finite values" not in str(exc)
 
-    def test_rule_is_a_plain_function(self):
-        est = Estimator("df", [0.1, 0.1, 0.01])
-        assert est._rule is Estimator._RULES["df"]
-        assert not hasattr(est._rule, "__self__")  # no bound method, no reference cycle
+    @pytest.mark.parametrize("mode", Estimator.MODES)
+    def test_updated_estimator_holds_no_reference_cycle(self, mode):
+        # freed by `del` alone, with the cycle collector off
+        est = Estimator(mode, [0.1, 0.1, 0.01])
+        est.update([1.0, 0.5, -0.2], 0.7)
+        ref = weakref.ref(est)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del est
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDirectionalForgetting:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -271,8 +272,7 @@ class TestRun:
         assert re.search(r"step \d+ \(t=[\d.]+s\): diverged", capsys.readouterr().err)
         assert not out.exists()
         table = tmp_path / "table.json"
-        assert main(["compare", str(path), "--methods", "fixed",
-                     "--out", str(table), "--format", "json"]) == 3
+        assert main(["compare", str(path), "--methods", "fixed", "--out", str(table)]) == 3
         assert not table.exists()
 
     def test_overflowing_plant_exits_3_naming_the_step(self, tmp_path, capsys):
@@ -313,7 +313,7 @@ class TestRun:
                      id="dataset-is-the-scenario"),
         pytest.param("out", "/", "--save-dataset / is a directory",
                      id="dataset-has-no-file-name"),
-        pytest.param("out", "", "--save-dataset . is a directory", id="dataset-is-empty"),
+        pytest.param("out", "", "--save-dataset '' is a directory", id="dataset-is-empty"),
     ])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                    out, dataset, message):
@@ -467,7 +467,7 @@ class TestTune:
             pytest.param("t,r,u,y\r\n0,1,2,0\r\n0.01,1,x,0\r\n", "line 3", id="not-a-number"),
             pytest.param("t,r,u,y\r\n", "no data rows", id="header-only"),
             pytest.param("", "empty file", id="empty"),
-            pytest.param(None, "error: [Errno 21] Is a directory: '/'", id="no-file-name"),
+            pytest.param(None, "error: dataset / is a directory\n", id="no-file-name"),
             pytest.param(f't,r,u,y\r\n0,1,2,0\r\n0.01,1,2,"{"9" * 200_000}"\r\n',
                          "line 3: field larger than field limit", id="huge-quoted-field"),
             pytest.param(f't,r,u,"{"y" * 200_000}"\r\n0,1,2,0\r\n',
@@ -561,7 +561,7 @@ class TestSweepAndCompare:
         scenario.write_text(json.dumps(raw))
         mus = [0.99, 0.90, 0.85, 0.80, 0.75]
         argv = ["compare", str(scenario), "--methods", "df", "--mu", ",".join(map(str, mus))]
-        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
         assert [row["mu"] for row in rows] == mus
         for row in rows:
@@ -602,18 +602,24 @@ class TestSweepAndCompare:
         assert tree(tmp_path) == before
 
     def test_compare_json_format(self, tmp_path, short_scenario):
-        out = tmp_path / "cmp.json"
-        code = main(
-            [
-                "compare", str(short_scenario),
-                "--methods", "fixed,df",
-                "--out", str(out), "--format", "json",
-            ]
-        )
-        assert code == 0
-        rows = json.loads(out.read_text())
-        assert [r["mode"] for r in rows] == ["fixed", "df"]
-        assert not any("mu" in r for r in rows)  # a column of --mu only
+        # JSON when --out ends in .json, else CSV, each equal to the rows (no mu column)
+        argv = ["compare", str(short_scenario), "--methods", "fixed,df"]
+        rows = harness.compare_methods(harness.method_variants(
+            ScenarioConfig.from_json(short_scenario), ["fixed", "df"]))
+        assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
+        assert strict_json(tmp_path / "t.json") == rows
+        for name in ["t.csv", "t"]:
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / name, newline="") as fh:
+                assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in row.items()}
+                                                    for row in rows]
+
+    def test_format_option_is_gone(self, tmp_path, short_scenario, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["compare", str(short_scenario), "--format", "json",
+                  "--out", str(tmp_path / "t.json")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def test_compare_directory(self, tmp_path, short_scenario, capsys):
         code = main(["compare", str(short_scenario.parent)])
@@ -640,7 +646,7 @@ class TestSweepAndCompare:
     def test_compare_directory_is_the_per_file_tables(self, scenario_dir):
         def table(path):
             out = scenario_dir.parent / "table.json"
-            argv = ["compare", str(path), "--methods", "fixed,df", "--format", "json"]
+            argv = ["compare", str(path), "--methods", "fixed,df"]
             assert main([*argv, "--out", str(out)]) == 0
             return json.loads(out.read_text())
 

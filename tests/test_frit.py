@@ -12,6 +12,7 @@ from conftest import TS, matched_loop_data
 from fritpid.adaptive import RegressorGenerator, RlsEstimator
 from fritpid.csvio import CHUNK_ROWS, read_columns
 from fritpid.frit import (
+    TRANSIENT_SKIP,
     ClosedLoopDataset,
     InverseNotProperError,
     RankDeficientError,
@@ -119,7 +120,7 @@ class TestBatchTune:
         # solution unchanged (concatenating the raw time series instead
         # would inject a seam discontinuity into the stateful filters)
         data = matched_loop_data(THETA_STAR, n=1500, gm=gm_default)
-        phis, ds = regressor_samples(data, gm_default)
+        phis, ds = (a[TRANSIENT_SKIP:] for a in regressor_samples(data, gm_default))
         stacked = np.vstack([phis, phis])
         rhs = np.concatenate([ds, ds])
         doubled = np.linalg.solve(stacked.T @ stacked, stacked.T @ rhs)
@@ -153,13 +154,14 @@ class TestBatchTune:
         ref_ds = np.empty(len(data))
         for k in range(len(data)):
             ref_phis[k], ref_ds[k] = gen.step(data.y0[k], data.u0[k])
-        phis, ds = regressor_samples(data, gm, skip=0)
+        phis, ds = regressor_samples(data, gm)
+        assert phis.shape == (len(data), 3) and ds.shape == (len(data),)
         assert phis.tobytes() == ref_phis.tobytes()
         assert ds.tobytes() == ref_ds.tobytes()
 
     def test_matches_rls_over_same_samples(self, gm_default):
         data = matched_loop_data(THETA_STAR, n=1000, gm=gm_default)
-        phis, ds = regressor_samples(data, gm_default)
+        phis, ds = (a[TRANSIENT_SKIP:] for a in regressor_samples(data, gm_default))
         est = RlsEstimator([0.0, 0.0, 0.0], p0=1e6, mu=1.0)
         for phi, d in zip(phis, ds):
             est.update(phi, d)

@@ -43,7 +43,7 @@ def test_final_gains_are_the_weighted_batch_solution(path, mode):
                             [mode])
     trace = run_scenario(cfg, seed=0)
     data = ClosedLoopDataset(u0=trace["u"], y0=trace["y"], r=trace["r"], ts=cfg.ts)
-    phis, ds = regressor_samples(data, cfg.gm.build(cfg.ts), skip=0)
+    phis, ds = regressor_samples(data, cfg.gm.build(cfg.ts))
 
     n = len(ds)
     mu = 1.0 if mode == "noforget" else cfg.estimator.mu
