@@ -147,8 +147,8 @@ class Estimator:
     the floor ``r_inf*I``, which needs r0 >= r_inf.  An update that raises
     leaves theta, P and R unchanged.
 
-    ``theta``, ``P``, ``R`` and ``R_inf`` are numpy snapshots: a fresh array
-    on every read, so writing into one does not change the estimator.
+    ``theta``, ``P`` and ``R`` are numpy snapshots: a fresh array on every
+    read, so writing into one does not change the estimator.
     """
 
     MODES = ("noforget", "ef", "df", "er")  # the adaptive modes, in table order
@@ -167,11 +167,11 @@ class Estimator:
         self.epsilon = epsilon
         self._theta = as_gains(theta0)
         r0 = _positive_scalar(r0, "r0")
-        self._r_inf = _positive_scalar(r_inf, "r_inf")
-        if mode == "er" and r0 < self._r_inf:
+        r_inf = _positive_scalar(r_inf, "r_inf")
+        if mode == "er" and r0 < r_inf:
             raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
         # R_inf is r_inf*I, so er's floor (1 - mu) R_inf adds to the diagonal only
-        self._floor = (1.0 - self.mu) * self._r_inf if mode == "er" else 0.0
+        self._floor = (1.0 - self.mu) * r_inf if mode == "er" else 0.0
         self._R = (r0, 0.0, 0.0, r0, 0.0, r0)
         self._P = _inverse(self._R)
         self.deadzone_active = False
@@ -195,11 +195,6 @@ class Estimator:
     def R(self) -> np.ndarray:
         """The information matrix."""
         return _sym_matrix(self._R)
-
-    @property
-    def R_inf(self) -> np.ndarray:
-        """The resetting floor of ``er``, r_inf*I."""
-        return self._r_inf * np.eye(3)
 
     def update(self, phi, d) -> float:
         """Absorb one sample; returns the pre-update residual phi^T theta - d."""

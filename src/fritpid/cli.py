@@ -85,6 +85,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_paths([("scenario", args.scenario)], [])
     cfg = ScenarioConfig.from_json(args.scenario)
     if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
         raise ConfigError(f"scenario name {cfg.name!r} must be a plain file name")
@@ -132,13 +133,13 @@ def _cmd_compare(args) -> int:
     if not paths:
         raise ConfigError(f"no scenario JSON files in {path}")
     methods = args.methods.split(",")
+    _check_paths([("scenario", p) for p in paths], [("--out", args.out)])
     # every file loads, and every variant is checked, before the first run
     bases = [ScenarioConfig.from_json(p) for p in paths]
     if args.mu is not None:
         mus = _forgetting_factors(args.mu)
         bases = [_variant(base, f"mu={mu}", mu=mu) for base in bases for mu in mus]
     cfgs = [cfg for base in bases for cfg in method_variants(base, methods)]
-    _check_paths([("scenario", p) for p in paths], [("--out", args.out)])
     rows = compare_methods(cfgs)
     if args.mu is not None:
         rows = [{**row, "mu": cfg.estimator.mu} for row, cfg in zip(rows, cfgs)]

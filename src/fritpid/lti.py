@@ -140,12 +140,10 @@ def one_minus(f: RationalFilter) -> RationalFilter:
 def _roots_desc(coeffs) -> list[complex]:
     """Roots of a z^-1 coefficient list, interpreted in the z plane.
 
-    [c0, c1, ..., cn] maps to c0 z^n + c1 z^(n-1) + ... + cn.
+    [c0, c1, ..., cn] maps to c0 z^n + c1 z^(n-1) + ... + cn.  The list is
+    trimmed, as `RationalFilter` holds it: a trailing zero would be a root at 0.
     """
-    c = _trim(list(coeffs))
-    if len(c) == 1:
-        return []
-    return [complex(r) for r in np.roots(c)]
+    return [complex(r) for r in np.roots(coeffs)]
 
 
 class ReferenceModel:

@@ -291,15 +291,25 @@ class TestRun:
     def test_missing_file_exits_2(self):
         assert main(["run", "no_such_scenario.json"]) == 2
 
-    @pytest.mark.parametrize("scenario, out", [(".", "out"), ("short.json", "taken")],
-                             ids=["scenario-is-a-directory", "out-is-a-file"])
+    @pytest.mark.parametrize("argv, stderr", [
+        pytest.param(["run", "x.json", "--out", "out"], "error: scenario {}/x.json is a directory\n",
+                     id="scenario-is-a-directory"),
+        pytest.param(["compare", ".", "--out", "table.csv"],  # x.json sorts after short.json
+                     "error: scenario {}/x.json is a directory\n", id="compare-scenario-is-a-directory"),
+        pytest.param(["run", "short.json", "--out", "taken"],
+                     "error: --out {0}/taken: {0}/taken is not a directory\n", id="out-is-a-file"),
+    ])
     def test_unusable_path_exits_2_and_writes_nothing(self, tmp_path, short_scenario, capsys,
-                                                      scenario, out):
+                                                      argv, stderr):
+        # each path is read before it is checked: no bare OSError such as [Errno 21]
         (tmp_path / "taken").write_text("")
-        assert main(["run", str(tmp_path / scenario), "--out", str(tmp_path / out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json", "taken"]
-        assert (tmp_path / "taken").read_text() == ""
+        (tmp_path / "x.json").mkdir()
+        before = tree(tmp_path)
+        command, *paths = argv
+        argv = [command, *(p if p.startswith("--") else str(tmp_path / p) for p in paths)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == stderr.format(tmp_path)
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("out, dataset, message", [
         pytest.param("taken", None, "taken is not a directory", id="out-is-a-file"),
