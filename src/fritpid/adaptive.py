@@ -83,11 +83,6 @@ def symmetric_eigen_bounds(P) -> tuple[float, float]:
 _TWO_PI_3 = 2.0 * pi / 3.0
 
 
-def _unit_bound(r: float) -> float:
-    """min(1.0, max(-1.0, r)) for r outside (-1, 1); NaN goes to -1.0 as there."""
-    return 1.0 if r >= 1.0 else -1.0
-
-
 def _eigen_bounds(a00, a01, a02, a11, a12, a22) -> tuple[float, float]:
     p1 = a01 * a01 + a02 * a02 + a12 * a12
     if p1 == 0.0:
@@ -99,7 +94,8 @@ def _eigen_bounds(a00, a01, a02, a11, a12, a22) -> tuple[float, float]:
     b00, b11, b22, b01, b02, b12 = d0 / p, d1 / p, d2 / p, a01 / p, a02 / p, a12 / p
     r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
          + b02 * (b01 * b12 - b11 * b02)) / 2.0
-    phi = acos(r if -1.0 < r < 1.0 else _unit_bound(r)) / 3.0
+    # min(1.0, max(-1.0, r)) to the bit, NaN to -1.0, with no call in the common case
+    phi = acos(r if -1.0 < r < 1.0 else 1.0 if r >= 1.0 else -1.0) / 3.0
     p2 = 2.0 * p
     return q + p2 * cos(phi + _TWO_PI_3), q + p2 * cos(phi)
 
@@ -147,8 +143,9 @@ class Estimator:
     the floor ``r_inf*I``, which needs r0 >= r_inf.  An update that raises
     leaves theta, P and R unchanged.
 
-    ``theta``, ``P`` and ``R`` are numpy snapshots: a fresh array on every
-    read, so writing into one does not change the estimator.
+    ``gains`` is theta as the tuple of floats (kp, ki, kd) the last update
+    wrote.  ``theta``, ``P`` and ``R`` are numpy snapshots: a fresh array on
+    every read, so writing into one does not change the estimator.
     """
 
     MODES = ("noforget", "ef", "df", "er")  # the adaptive modes, in table order
@@ -165,7 +162,7 @@ class Estimator:
         self.mode = mode
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
-        self._theta = as_gains(theta0)
+        self.gains = as_gains(theta0)
         r0 = _positive_scalar(r0, "r0")
         r_inf = _positive_scalar(r_inf, "r_inf")
         if mode == "er" and r0 < r_inf:
@@ -177,14 +174,9 @@ class Estimator:
         self.deadzone_active = False
 
     @property
-    def gains(self) -> tuple[float, float, float]:
-        """theta as three floats (kp, ki, kd)."""
-        return self._theta
-
-    @property
     def theta(self) -> np.ndarray:
         """The gains [kp, ki, kd]."""
-        return np.array(self._theta)
+        return np.array(self.gains)
 
     @property
     def P(self) -> np.ndarray:
@@ -205,7 +197,7 @@ class Estimator:
             isfinite(f0) and isfinite(f1) and isfinite(f2) and isfinite(d)
         ):
             raise NumericalBreakdownError("regressor sample contains non-finite values")
-        t0, t1, t2 = self._theta
+        t0, t1, t2 = self.gains
         ehat = f0 * t0 + f1 * t1 + f2 * t2 - d
         if self.mode == "df":
             self.deadzone_active = sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
@@ -221,7 +213,7 @@ class Estimator:
         t2 = t2 - ehat * (p02 * f0 + p12 * f1 + p22 * f2)
         if not (isfinite(t0) and isfinite(t1) and isfinite(t2)):
             raise NumericalBreakdownError(f"gain step gave non-finite theta {[t0, t1, t2]}")
-        self._theta, self._P, self._R = (t0, t1, t2), P, R
+        self.gains, self._P, self._R = (t0, t1, t2), P, R
         return ehat
 
     def eigenvalues(self) -> tuple[float, float]:

@@ -158,24 +158,31 @@ class EstimatorSpec:
 @dataclass
 class PlantSpec:
     kind: str = "lti"
-    num: list[float] = field(default_factory=lambda: [0.0, 0.0095])
-    den: list[float] = field(default_factory=lambda: [1.0, -0.99])
-    params: dict[str, float] = field(default_factory=dict)
+    num: list[float] | None = None  # lti only; None: [0.0, 0.0095]
+    den: list[float] | None = None  # lti only; None: [1.0, -0.99]
+    params: dict[str, float] = field(default_factory=dict)  # bouc_wen only
     noise_std: float = 0.0
     saturation: list[float] | None = None
     schedule: list[dict[str, float | list[float]]] = field(default_factory=list)
 
     def build(self, ts: float):
         if self.kind == "lti":
-            return LtiPlant(
-                RationalFilter(self.num, self.den),
+            plant = LtiPlant(
+                RationalFilter([0.0, 0.0095] if self.num is None else self.num,
+                               [1.0, -0.99] if self.den is None else self.den),
                 noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
             )
+            if self.params:  # after the plant's own checks (in both kinds), so those report first
+                raise ConfigError("params belong to a bouc_wen plant")
+            return plant
         if self.kind == "bouc_wen":
-            return BoucWenPlant(
+            plant = BoucWenPlant(
                 BoucWenParams(**self.params), ts=ts,
                 noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
             )
+            if self.num is not None or self.den is not None:
+                raise ConfigError("num and den belong to an lti plant")
+            return plant
         raise ConfigError(f"unknown plant kind {self.kind!r}")
 
 

@@ -179,14 +179,11 @@ class LtiPlant(_PlantBase):
 
     def _start(self, filt):
         filt.reset()
-        self._filter = filt
+        self._filter, self._advance = filt, filt.step
 
     def _use(self, filt):
         filt._w = self._filter._w  # the live delay line carries on
-        self._filter = filt
-
-    def _advance(self, u: float) -> float:
-        return self._filter.step(u)
+        self._filter, self._advance = filt, filt.step  # `step` steps the live filter
 
 
 class BoucWenPlant(_PlantBase):

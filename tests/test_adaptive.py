@@ -524,15 +524,6 @@ class TestEigenBounds:
 
 
 class TestEigenClamp:
-    @pytest.mark.parametrize("r", [
-        math.nan, 1.0, -1.0, math.inf, -math.inf,
-        math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0), 1.5, -1.5,
-    ])
-    def test_unit_bound_matches_min_max(self, r):
-        want = min(1.0, max(-1.0, r))
-        got = adaptive._unit_bound(r)
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-
     def test_matches_min_max_clamp_near_repeated_eigenvalues(self):
         # spectra with a double eigenvalue put r = det(B)/2 at +-1, and rounding
         # pushes it just outside; NaN entries give r = NaN
@@ -594,3 +585,13 @@ class TestFactory:
         assert est.theta == pytest.approx([0.1, 0.2, 0.3])
         assert est.P == pytest.approx(100.0 * I3)
         assert est.R == pytest.approx(0.01 * I3)
+
+    @pytest.mark.parametrize("mode", Estimator.MODES)
+    def test_gains_are_the_floats_of_theta(self, mode):
+        est = Estimator(mode, [0.1, 0.2, 0.3])
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            est.update(rng.standard_normal(3), rng.standard_normal())
+        assert type(est.gains) is tuple and len(est.gains) == 3
+        assert all(type(g) is float for g in est.gains)
+        assert est.gains == tuple(est.theta) != (0.1, 0.2, 0.3)

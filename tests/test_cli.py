@@ -118,6 +118,12 @@ class TestRun:
             pytest.param("gm", {"num": [0.0, 0.01]}, id="gm-num-without-den"),
             pytest.param("plant", {"num": [0.0, math.nan]}, id="lti-num-nan"),
             pytest.param("plant", {"den": [1.0, -math.inf]}, id="lti-den-inf"),
+            # fields the plant kind does not read
+            pytest.param("plant", {"params": {"gain": 5.0}}, id="lti-params"),
+            pytest.param(
+                "plant", {"kind": "bouc_wen", "num": [0.0, 0.01], "den": [1.0, -0.99]},
+                id="bouc-wen-num-den",
+            ),
             # misspelled keys and schedules that would fail only when they fire
             pytest.param(None, {"duraton": 5.0}, id="unknown-top-level-key"),
             pytest.param(
@@ -182,6 +188,24 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("edit, stderr", [
+        pytest.param({"params": {"gain": 5.0}}, "bad lti plant: params belong to a bouc_wen plant",
+                     id="lti-params"),
+        pytest.param({"kind": "bouc_wen"}, "bad bouc_wen plant: num and den belong to an lti plant",
+                     id="bouc-wen-num-den"),
+        pytest.param({"kind": "bouc_wen", "den": None},
+                     "bad bouc_wen plant: num and den belong to an lti plant", id="bouc-wen-num"),
+    ])
+    def test_other_kind_plant_fields_are_named_and_nothing_is_written(
+            self, tmp_path, capsys, edit, stderr):
+        raw = json.loads(Path(MATCHED_LTI).read_text())  # an lti plant with num and den
+        raw["plant"].update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {stderr}\n"
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("path", [
         ("duration",), ("estimator", "mu"), ("reference", "offset"), ("plant", "params", "gain"),

@@ -100,6 +100,16 @@ class TestConfig:
         assert cfg.evaluation_window == [0.0, 10.0]
         assert cfg == ScenarioConfig.from_dict({"duration": 10.0})
 
+    @pytest.mark.parametrize("plant, num, den", [
+        ({}, [0.0, 0.0095], [1.0, -0.99]),
+        ({"num": [0.0, 0.02]}, [0.0, 0.02], [1.0, -0.99]),
+        ({"den": [1.0, -0.9]}, [0.0, 0.0095], [1.0, -0.9]),
+    ], ids=["default", "num-only", "den-only"])
+    def test_lti_plant_defaults_fill_an_omitted_num_or_den(self, plant, num, den):
+        # num and den default to None; the filter gets the coefficients they defaulted to
+        _, _, _, lti, _ = ScenarioConfig(plant=PlantSpec(**plant)).build()
+        assert (lti._filter.num, lti._filter.den) == (num, den)
+
     def test_seeds_default_to_range(self):
         cfg = identity_plant_config()
         cfg.trials = 4
