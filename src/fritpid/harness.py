@@ -47,9 +47,10 @@ class ConfigError(ValueError):
 def _load(tp, value, where: str = ""):
     """`value`, from JSON, checked against the annotation `tp`: the scenario schema.
 
-    A spec dataclass is built from an object with no unknown keys; a float
-    takes a JSON integer too and becomes a float; a bool is never a number.
-    A mismatch is a ConfigError that names the field by its path `where`.
+    A spec dataclass is built from an object with no unknown keys and, if it has a
+    `KINDS` table (kind -> the fields that only some kinds read), no key that only
+    other kinds read; a float takes a JSON integer too and becomes a float; a bool is
+    never a number.  A mismatch is a ConfigError that names the field by its path `where`.
     """
     if isinstance(tp, UnionType):  # the arm of the value's JSON type, else the first
         arms = tp.__args__
@@ -64,7 +65,11 @@ def _load(tp, value, where: str = ""):
         if unknown:
             raise ConfigError(f"unknown {where or 'scenario'} fields {sorted(unknown)}")
         prefix = f"{where}." if where else ""
-        return tp(**{key: _load(fields[key].type, v, prefix + key) for key, v in value.items()})
+        spec = tp(**{key: _load(fields[key].type, v, prefix + key) for key, v in value.items()})
+        own = getattr(tp, "KINDS", {}).get(getattr(spec, "kind", None))  # unknown: build names it
+        if own is not None and (foreign := value.keys() & set().union(*tp.KINDS.values()) - own):
+            raise ConfigError(f"{spec.kind} {where} does not read {sorted(foreign)}")
+        return spec
     if kind is list:
         return [_load(tp.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
     if kind is dict:  # JSON object keys are strings
@@ -79,6 +84,8 @@ def _load(tp, value, where: str = ""):
 
 @dataclass
 class ReferenceSpec:
+    KINDS = {"constant": {"offset"}, "sine": {"amplitude", "offset", "frequency"},
+             "square": {"amplitude", "offset", "period"}, "staircase": {"levels", "interval"}}
     kind: str = "constant"
     amplitude: float = 1.0
     offset: float = 0.0
@@ -123,14 +130,17 @@ class ReferenceSpec:
 
 @dataclass
 class GmSpec:
+    KINDS = {"explicit": {"num", "den"}, "first_order": {"tau", "dc_gain", "discretization"}}
     tau: float = 1.0
     dc_gain: float = 1.0
     discretization: str = "euler"
     num: list[float] | None = None
     den: list[float] | None = None
 
+    kind = property(lambda s: "first_order" if s.num is None and s.den is None else "explicit")
+
     def build(self, ts: float) -> ReferenceModel:
-        if self.num is not None or self.den is not None:
+        if self.kind == "explicit":
             if self.num is None or self.den is None:
                 raise ConfigError("explicit gm needs both num and den")
             return ReferenceModel(RationalFilter(self.num, self.den))
@@ -157,32 +167,22 @@ class EstimatorSpec:
 
 @dataclass
 class PlantSpec:
+    KINDS = {"lti": {"num", "den"}, "bouc_wen": {"params"}}
     kind: str = "lti"
-    num: list[float] | None = None  # lti only; None: [0.0, 0.0095]
-    den: list[float] | None = None  # lti only; None: [1.0, -0.99]
-    params: dict[str, float] = field(default_factory=dict)  # bouc_wen only
+    num: list[float] = field(default_factory=lambda: [0.0, 0.0095])
+    den: list[float] = field(default_factory=lambda: [1.0, -0.99])
+    params: dict[str, float] = field(default_factory=dict)
     noise_std: float = 0.0
     saturation: list[float] | None = None
     schedule: list[dict[str, float | list[float]]] = field(default_factory=list)
 
     def build(self, ts: float):
         if self.kind == "lti":
-            plant = LtiPlant(
-                RationalFilter([0.0, 0.0095] if self.num is None else self.num,
-                               [1.0, -0.99] if self.den is None else self.den),
-                noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
-            )
-            if self.params:  # after the plant's own checks (in both kinds), so those report first
-                raise ConfigError("params belong to a bouc_wen plant")
-            return plant
+            return LtiPlant(RationalFilter(self.num, self.den), noise_std=self.noise_std,
+                            saturation=self.saturation, schedule=self.schedule)
         if self.kind == "bouc_wen":
-            plant = BoucWenPlant(
-                BoucWenParams(**self.params), ts=ts,
-                noise_std=self.noise_std, saturation=self.saturation, schedule=self.schedule,
-            )
-            if self.num is not None or self.den is not None:
-                raise ConfigError("num and den belong to an lti plant")
-            return plant
+            return BoucWenPlant(BoucWenParams(**self.params), ts=ts, noise_std=self.noise_std,
+                                saturation=self.saturation, schedule=self.schedule)
         raise ConfigError(f"unknown plant kind {self.kind!r}")
 
 

@@ -74,7 +74,8 @@ class TestRun:
         [
             pytest.param(None, {"duration": -1.0}, id="duration"),
             pytest.param(None, {"duration": math.inf}, id="duration-inf"),
-            pytest.param("reference", {"kind": "staircase", "levels": []}, id="staircase-no-levels"),
+            pytest.param(None, {"reference": {"kind": "staircase", "levels": []}},
+                         id="staircase-no-levels"),
             pytest.param("reference", {"kind": "square", "period": 0.0}, id="square-zero-period"),
             pytest.param("plant", {"schedule": [{"gain_scale": 0.5}]}, id="schedule-no-time"),
             pytest.param("plant", {"noise_std": math.nan}, id="noise-std-nan"),
@@ -87,23 +88,33 @@ class TestRun:
             pytest.param("plant", {"saturation": [1.0, -1.0]}, id="saturation-reversed"),
             pytest.param("plant", {"saturation": "12"}, id="saturation-string"),
             pytest.param("plant", {"saturation": [False, True]}, id="saturation-booleans"),
+            # a whole section of one kind replaces matched_lti's lti plant, square
+            # reference or first-order gm, so no field of another kind is left in it
             pytest.param(
-                "plant", {"kind": "bouc_wen", "params": {"foo": 1.0}}, id="bouc-wen-unknown-key"
+                None, {"plant": {"kind": "bouc_wen", "params": {"foo": 1.0}}},
+                id="bouc-wen-unknown-key",
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "params": {"beta": 0.3, "gamma": -0.3}},
+                None, {"plant": {"kind": "bouc_wen", "params": {"beta": 0.3, "gamma": -0.3}}},
                 id="bouc-wen-beta-not-above-gamma",
             ),
-            pytest.param("plant", {"kind": "bouc_wen", "params": {"n": 0.5}}, id="bouc-wen-n"),
-            pytest.param("plant", {"kind": "bouc_wen", "params": {"tau": 0.0}}, id="bouc-wen-tau"),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "params": {"tau": math.nan}}, id="bouc-wen-tau-nan"
+                None, {"plant": {"kind": "bouc_wen", "params": {"n": 0.5}}}, id="bouc-wen-n"
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "params": {"sigma": -1.0}}, id="bouc-wen-sigma"
+                None, {"plant": {"kind": "bouc_wen", "params": {"tau": 0.0}}}, id="bouc-wen-tau"
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "params": {"gain": math.nan}}, id="bouc-wen-gain-nan"
+                None, {"plant": {"kind": "bouc_wen", "params": {"tau": math.nan}}},
+                id="bouc-wen-tau-nan",
+            ),
+            pytest.param(
+                None, {"plant": {"kind": "bouc_wen", "params": {"sigma": -1.0}}},
+                id="bouc-wen-sigma",
+            ),
+            pytest.param(
+                None, {"plant": {"kind": "bouc_wen", "params": {"gain": math.nan}}},
+                id="bouc-wen-gain-nan",
             ),
             # non-finite reference-model and filter parameters
             pytest.param("gm", {"dc_gain": math.nan}, id="gm-dc-gain-nan"),
@@ -114,8 +125,10 @@ class TestRun:
             ),
             pytest.param("gm", {"tau": math.nan}, id="gm-tau-nan"),
             pytest.param("gm", {"tau": math.inf}, id="gm-tau-inf"),
-            pytest.param("gm", {"num": [0.0, math.nan], "den": [1.0, -0.99]}, id="gm-num-nan"),
-            pytest.param("gm", {"num": [0.0, 0.01]}, id="gm-num-without-den"),
+            pytest.param(
+                None, {"gm": {"num": [0.0, math.nan], "den": [1.0, -0.99]}}, id="gm-num-nan"
+            ),
+            pytest.param(None, {"gm": {"num": [0.0, 0.01]}}, id="gm-num-without-den"),
             pytest.param("plant", {"num": [0.0, math.nan]}, id="lti-num-nan"),
             pytest.param("plant", {"den": [1.0, -math.inf]}, id="lti-den-inf"),
             # fields the plant kind does not read
@@ -144,20 +157,22 @@ class TestRun:
                 id="schedule-time-nan",
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "tau_scale": -1}]},
+                None,
+                {"plant": {"kind": "bouc_wen", "schedule": [{"time": 50.0, "tau_scale": -1}]}},
                 id="bouc-wen-schedule-negative-tau-scale",
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "gain_sclae": 0.7}]},
+                None,
+                {"plant": {"kind": "bouc_wen", "schedule": [{"time": 50.0, "gain_sclae": 0.7}]}},
                 id="bouc-wen-schedule-unknown-key",
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "schedule": [{"time": 50.0, "num": [1.0]}]},
+                None, {"plant": {"kind": "bouc_wen", "schedule": [{"time": 50.0, "num": [1.0]}]}},
                 id="bouc-wen-schedule-lti-key",
             ),
             pytest.param(
-                "plant", {"kind": "bouc_wen", "schedule": [
-                    {"time": 10.0, "tau_scale": 0.5}, {"time": 20.0, "beta": 0.1}]},
+                None, {"plant": {"kind": "bouc_wen", "schedule": [
+                    {"time": 10.0, "tau_scale": 0.5}, {"time": 20.0, "beta": 0.1}]}},
                 id="bouc-wen-schedule-second-switch-unbounded",
             ),
             # values of the wrong type that used to fail only at run time
@@ -168,7 +183,8 @@ class TestRun:
                 "reference", {"kind": "staircase", "levels": ["a"]}, id="staircase-string-level"
             ),
             pytest.param("reference", {"kind": "sine", "amplitude": "a"}, id="sine-string-amplitude"),
-            pytest.param("reference", {"kind": "sine", "amplitude": math.nan}, id="sine-amplitude-nan"),
+            pytest.param(None, {"reference": {"kind": "sine", "amplitude": math.nan}},
+                         id="sine-amplitude-nan"),
             pytest.param("reference", {"kind": "constant", "offset": "x"}, id="constant-string-offset"),
             pytest.param("estimator", {"mu": None}, id="estimator-mu-null"),
             pytest.param("estimator", {"r0": None}, id="estimator-r0-null"),
@@ -189,18 +205,33 @@ class TestRun:
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("edit, stderr", [
-        pytest.param({"params": {"gain": 5.0}}, "bad lti plant: params belong to a bouc_wen plant",
-                     id="lti-params"),
-        pytest.param({"kind": "bouc_wen"}, "bad bouc_wen plant: num and den belong to an lti plant",
-                     id="bouc-wen-num-den"),
-        pytest.param({"kind": "bouc_wen", "den": None},
-                     "bad bouc_wen plant: num and den belong to an lti plant", id="bouc-wen-num"),
+    @pytest.mark.parametrize("section, body, stderr", [
+        pytest.param("reference",
+                     {"kind": "constant", "offset": 1.0, "period": 3.0, "levels": [5.0]},
+                     "constant reference does not read ['levels', 'period']", id="constant-period"),
+        pytest.param("reference", {"kind": "staircase", "levels": [1.0], "offset": 2.0},
+                     "staircase reference does not read ['offset']", id="staircase-offset"),
+        pytest.param("gm", {"num": [0.0, 0.1], "den": [1.0, -0.9], "tau": 7.0, "dc_gain": 3.0},
+                     "explicit gm does not read ['dc_gain', 'tau']", id="explicit-gm-tau"),
+        pytest.param("plant", {"kind": "lti", "num": [0.0, 0.01], "den": [1.0, -0.99],
+                               "params": {"gain": 5.0}},
+                     "lti plant does not read ['params']", id="lti-params"),
+        pytest.param("plant", {"kind": "bouc_wen", "num": [0.0, 0.01], "den": [1.0, -0.99]},
+                     "bouc_wen plant does not read ['den', 'num']", id="bouc-wen-num-den"),
+        pytest.param("plant", {"kind": "bouc_wen", "num": [0.0, 0.01]},
+                     "bouc_wen plant does not read ['num']", id="bouc-wen-num"),
+        # null is a type error, not an omitted num
+        pytest.param("plant", {"kind": "lti", "num": None, "den": [1.0, -0.99]},
+                     "plant.num must be a list, got None", id="lti-num-null"),
     ])
     def test_other_kind_plant_fields_are_named_and_nothing_is_written(
-            self, tmp_path, capsys, edit, stderr):
-        raw = json.loads(Path(MATCHED_LTI).read_text())  # an lti plant with num and den
-        raw["plant"].update(edit)
+            self, tmp_path, capsys, monkeypatch, section, body, stderr):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(PidBasis, "step", no_step)
+        raw = json.loads(Path(MATCHED_LTI).read_text())
+        raw[section] = body
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2

@@ -4,9 +4,11 @@ Every input exits 0 (success), 2 (configuration error) or 3 (numerical
 breakdown); no exception escapes `cli.main`.  The inputs are the bundled
 scenarios with one to three of their nodes mutated: a type swap, NaN or an
 infinity, a negation or zero, a huge or a subnormal number, an empty list, a
-deletion, or an unknown key next to it.  A mutant that breaks the schema's types where the oracle can
-tell for sure (a bool or a numeric string in place of a number, a string in
-place of a list) must exit 2.  An exit 2 writes nothing under `--out`; an
+deletion, or an unknown key next to it; then, maybe, a field that only another
+kind reads added to a reference or plant that still names a known kind.  A
+mutant that breaks the schema's types where the oracle can tell for sure (a
+bool or a numeric string in place of a number, a string in place of a list)
+must exit 2, and so must one with another kind's field.  An exit 2 writes nothing under `--out`; an
 exit 0 writes a summary with a finite MAE and maxAE.  Each run is capped at
 CAP_S seconds of simulated time.
 """
@@ -72,6 +74,18 @@ MUTATIONS = {
 }
 
 
+# the fields that only some kinds of a section read (README's scenario files),
+# each with a value of its type
+KIND_FIELDS = {
+    "reference": {"constant": {"offset"}, "sine": {"amplitude", "offset", "frequency"},
+                  "square": {"amplitude", "offset", "period"}, "staircase": {"levels", "interval"}},
+    "plant": {"lti": {"num", "den"}, "bouc_wen": {"params"}},
+}
+FIELD_VALUES = {"offset": 1.0, "amplitude": 1.0, "frequency": 0.1, "period": 40.0,
+                "levels": [1.0], "interval": 20.0, "num": [0.0, 0.01], "den": [1.0, -0.99],
+                "params": {"gain": 1.0}}
+
+
 def mutate(raw: dict, path: tuple, how: str) -> None:
     *head, key = path
     parent = raw
@@ -126,21 +140,29 @@ def mutants(draw):
             break
         how = draw(st.sampled_from([*MUTATIONS, "delete", "unknown key"]))
         mutate(raw, draw(st.sampled_from(paths)), how)
+    foreign = False
+    if draw(st.booleans()):  # the last mutation: a field of another kind
+        kinds = KIND_FIELDS[section := draw(st.sampled_from(sorted(KIND_FIELDS)))]
+        node = raw.get(section)
+        kind = node.get("kind") if isinstance(node, dict) else None
+        if isinstance(kind, str) and kind in kinds:
+            key = draw(st.sampled_from(sorted(set().union(*kinds.values()) - kinds[kind])))
+            node[key], foreign = FIELD_VALUES[key], True
     cap_duration(raw)
-    return base, raw
+    return base, raw, foreign
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
 @given(mutant=mutants())
 def test_run_exits_0_2_or_3(tmp_path_factory, mutant):
-    base, raw = mutant
+    base, raw, foreign = mutant
     root = tmp_path_factory.getbasetemp() / "exit_contract"
     root.mkdir(exist_ok=True)
     path, out = root / "mutant.json", root / "out"
     path.write_text(json.dumps(raw))
     shutil.rmtree(out, ignore_errors=True)  # each example starts from no --out directory
     code = main(["run", str(path), "--out", str(out)])
-    assert code in ((2,) if mistyped(base, raw) else (0, 2, 3))
+    assert code in ((2,) if foreign or mistyped(base, raw) else (0, 2, 3))
     if code == 2:
         assert not out.exists()
     elif code == 0:

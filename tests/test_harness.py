@@ -106,7 +106,7 @@ class TestConfig:
         ({"den": [1.0, -0.9]}, [0.0, 0.0095], [1.0, -0.9]),
     ], ids=["default", "num-only", "den-only"])
     def test_lti_plant_defaults_fill_an_omitted_num_or_den(self, plant, num, den):
-        # num and den default to None; the filter gets the coefficients they defaulted to
+        # an omitted num or den takes its field's default list
         _, _, _, lti, _ = ScenarioConfig(plant=PlantSpec(**plant)).build()
         assert (lti._filter.num, lti._filter.den) == (num, den)
 
