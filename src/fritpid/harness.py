@@ -50,7 +50,8 @@ def _load(tp, value, where: str = ""):
     A spec dataclass is built from an object with no unknown keys and, if it has a
     `KINDS` table (kind -> the fields that only some kinds read), no key that only
     other kinds read; a float takes a JSON integer too and becomes a float; a bool is
-    never a number.  A mismatch is a ConfigError that names the field by its path `where`.
+    never a number.  A mismatch, or a ValueError of the spec's own check, is a
+    ConfigError that names the field by its path `where`.
     """
     if isinstance(tp, UnionType):  # the arm of the value's JSON type, else the first
         arms = tp.__args__
@@ -65,7 +66,13 @@ def _load(tp, value, where: str = ""):
         if unknown:
             raise ConfigError(f"unknown {where or 'scenario'} fields {sorted(unknown)}")
         prefix = f"{where}." if where else ""
-        spec = tp(**{key: _load(fields[key].type, v, prefix + key) for key, v in value.items()})
+        try:
+            spec = tp(**{key: _load(fields[key].type, v, prefix + key)
+                         for key, v in value.items()})
+        except ConfigError:
+            raise
+        except ValueError as exc:  # e.g. BoucWenParams.__post_init__
+            raise ConfigError(f"{where}: {exc}") from exc
         own = getattr(tp, "KINDS", {}).get(getattr(spec, "kind", None))  # unknown: build names it
         if own is not None and (foreign := value.keys() & set().union(*tp.KINDS.values()) - own):
             raise ConfigError(f"{spec.kind} {where} does not read {sorted(foreign)}")
@@ -95,13 +102,17 @@ class ReferenceSpec:
     interval: float = 20.0
 
     def signal(self, duration: float):
-        """The reference r(t) on [0, duration] as a function of t; checks the values
-        first, so that r(t) is finite there."""
+        """The reference r(t) on [0, duration] as a function of t; first checks that
+        each field its kind reads is finite, so that r(t) is finite there."""
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"unknown reference kind {self.kind!r}")
+        for name in sorted(self.KINDS[self.kind]):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{self.kind} reference {name} must be finite, got {value}")
         amplitude, offset, frequency, period, interval = (
             self.amplitude, self.offset, self.frequency, self.period, self.interval)
         levels = list(self.levels)
-        if not all(map(math.isfinite, [amplitude, offset, frequency, *levels])):
-            raise ConfigError(f"reference values must be finite, got {self}")
         if self.kind == "constant":
             return lambda t: offset
         if self.kind in ("sine", "square") and not math.isfinite(abs(offset) + abs(amplitude)):
@@ -114,18 +125,16 @@ class ReferenceSpec:
                                   f"got frequency={frequency:.6g}, duration={duration:.6g}")
             return lambda t: offset + amplitude * math.sin(w * t)
         if self.kind == "square":
-            if not 0.0 < period < math.inf:
+            if not period > 0.0:
                 raise ConfigError(f"square reference period must be positive, got {period}")
             half = period / 2.0
             return lambda t: offset + (amplitude if (t % period) < half else -amplitude)
-        if self.kind == "staircase":
-            if not levels:
-                raise ConfigError("staircase reference needs at least one level")
-            if not 0.0 < interval < math.inf:
-                raise ConfigError(f"staircase reference interval must be positive, got {interval}")
-            last = len(levels) - 1
-            return lambda t: levels[int(min(t // interval, last))]  # t // interval may be inf
-        raise ConfigError(f"unknown reference kind {self.kind!r}")
+        if not levels:  # staircase
+            raise ConfigError("staircase reference needs at least one level")
+        if not interval > 0.0:
+            raise ConfigError(f"staircase reference interval must be positive, got {interval}")
+        last = len(levels) - 1
+        return lambda t: levels[int(min(t // interval, last))]  # t // interval may be inf
 
 
 @dataclass
@@ -171,7 +180,7 @@ class PlantSpec:
     kind: str = "lti"
     num: list[float] = field(default_factory=lambda: [0.0, 0.0095])
     den: list[float] = field(default_factory=lambda: [1.0, -0.99])
-    params: dict[str, float] = field(default_factory=dict)
+    params: BoucWenParams = field(default_factory=BoucWenParams)
     noise_std: float = 0.0
     saturation: list[float] | None = None
     schedule: list[dict[str, float | list[float]]] = field(default_factory=list)
@@ -181,7 +190,7 @@ class PlantSpec:
             return LtiPlant(RationalFilter(self.num, self.den), noise_std=self.noise_std,
                             saturation=self.saturation, schedule=self.schedule)
         if self.kind == "bouc_wen":
-            return BoucWenPlant(BoucWenParams(**self.params), ts=ts, noise_std=self.noise_std,
+            return BoucWenPlant(self.params, ts=ts, noise_std=self.noise_std,
                                 saturation=self.saturation, schedule=self.schedule)
         raise ConfigError(f"unknown plant kind {self.kind!r}")
 
@@ -246,6 +255,8 @@ class ScenarioConfig:
             estimator = self.estimator.build()
             section = f"{self.plant.kind} plant"
             plant = self.plant.build(self.ts)
+        except ConfigError:  # names what is wrong itself, e.g. an unknown plant kind
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {section}: {exc}") from exc
         plant.reset(seed=seed)

@@ -84,11 +84,13 @@ class RationalFilter:
         """Exact rational inverse den/num; requires num[0] != 0 (biproper)."""
         return RationalFilter(self.den, self.num)
 
+    # [c0, c1, ..., cn] is c0 z^n + c1 z^(n-1) + ... + cn in the z plane; the lists
+    # are trimmed, so a trailing zero is not mistaken for a root at 0
     def poles(self) -> list[complex]:
-        return _roots_desc(self.den)
+        return [complex(r) for r in np.roots(self.den)]
 
     def zeros(self) -> list[complex]:
-        return _roots_desc(self.num)
+        return [complex(r) for r in np.roots(self.num)]
 
     def __repr__(self):
         return f"RationalFilter(num={self.num}, den={self.den})"
@@ -135,15 +137,6 @@ def one_minus(f: RationalFilter) -> RationalFilter:
     for i, c in enumerate(f.num):
         num[i] -= c
     return RationalFilter(num, f.den)
-
-
-def _roots_desc(coeffs) -> list[complex]:
-    """Roots of a z^-1 coefficient list, interpreted in the z plane.
-
-    [c0, c1, ..., cn] maps to c0 z^n + c1 z^(n-1) + ... + cn.  The list is
-    trimmed, as `RationalFilter` holds it: a trailing zero would be a root at 0.
-    """
-    return [complex(r) for r in np.roots(coeffs)]
 
 
 class ReferenceModel:

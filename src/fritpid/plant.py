@@ -6,8 +6,6 @@ support an optional input clamp, seeded output noise, and a switch schedule
 that moves to other parameters mid-run (load-change experiments).
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -80,15 +78,19 @@ def saturation_bounds(saturation):
 
 
 def _validate_schedule(schedule, keys):
-    """Copies of the switch entries: known keys only, finite increasing times."""
+    """Copies of the switch entries: known keys of their table's types, finite increasing times."""
     for entry in schedule:
         if not isinstance(entry, dict) or "time" not in entry:
             raise ValueError(f"schedule entry {entry!r} has no time")
-        if not entry.keys() <= keys:
+        if not entry.keys() <= keys.keys():
             raise ValueError(
                 f"schedule entry {entry!r} has unknown keys {sorted(entry.keys() - keys)}; "
                 f"allowed: {sorted(keys)}"
             )
+        for key, value in entry.items():  # a number is never a bool
+            if isinstance(value, bool) or not isinstance(value, keys[key]):
+                raise ValueError(f"schedule entry {entry!r}: {key} must be "
+                                 f"{'a list' if keys[key] is list else 'a number'}, got {value!r}")
         if not math.isfinite(entry["time"]):
             raise ValueError(f"schedule time must be finite, got {entry['time']}")
     if any(b["time"] <= a["time"] for a, b in zip(schedule, schedule[1:])):
@@ -107,7 +109,7 @@ NOISE_BLOCK = 256
 class _PlantBase:
     """Saturation, seeded noise, and parameter stages switched on a schedule."""
 
-    SCHEDULE_KEYS = frozenset({"time"})  # what a switch entry may set
+    SCHEDULE_KEYS = {"time": (int, float)}  # what a switch entry may set, and its types
 
     def __init__(self, initial, noise_std=0.0, saturation=None, schedule=()):
         if not 0.0 <= noise_std < math.inf:
@@ -164,7 +166,7 @@ class LtiPlant(_PlantBase):
     across the switch, so the output is continuous.
     """
 
-    SCHEDULE_KEYS = frozenset({"time", "num", "den", "gain_scale"})
+    SCHEDULE_KEYS = {"time": (int, float), "num": list, "den": list, "gain_scale": (int, float)}
 
     def __init__(self, filt: RationalFilter, noise_std=0.0, saturation=None, schedule=()):
         super().__init__(RationalFilter(filt.num, filt.den), noise_std, saturation, schedule)
@@ -195,17 +197,16 @@ class BoucWenPlant(_PlantBase):
     ``reset`` restores the ones the plant was built with.
     """
 
-    SCHEDULE_KEYS = frozenset(
-        {"time", "gain_scale", "tau_scale", *BoucWenParams.__dataclass_fields__}
+    SCHEDULE_KEYS = dict.fromkeys(
+        ["time", "gain_scale", "tau_scale", *BoucWenParams.__dataclass_fields__], (int, float)
     )
 
-    def __init__(self, params: BoucWenParams | None = None, ts: float = 0.01,
+    def __init__(self, params: BoucWenParams, ts: float = 0.01,
                  noise_std=0.0, saturation=None, schedule=()):
         if not 0.0 < ts < math.inf:  # written so that NaN fails too
             raise ValueError(f"ts must be positive and finite, got {ts}")
         self.ts = float(ts)
-        super().__init__(params if params is not None else BoucWenParams(),
-                         noise_std, saturation, schedule)
+        super().__init__(params, noise_std, saturation, schedule)
 
     @staticmethod
     def _switched(params, entry):

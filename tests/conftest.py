@@ -1,9 +1,15 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fritpid.controller import PidController
 from fritpid.frit import ClosedLoopDataset
 from fritpid.lti import ReferenceModel
+
+# the tests of scripts/*.py import them by name
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 TS = 0.01
 

@@ -226,6 +226,41 @@ class TestRun:
     ])
     def test_other_kind_plant_fields_are_named_and_nothing_is_written(
             self, tmp_path, capsys, monkeypatch, section, body, stderr):
+        self.assert_refused_before_step_0(tmp_path, capsys, monkeypatch, section, body, stderr)
+
+    @pytest.mark.parametrize("section, body, stderr", [
+        pytest.param("reference", {"kind": "sine", "amplitude": math.nan},
+                     "sine reference amplitude must be finite, got nan", id="sine-amplitude-nan"),
+        pytest.param("plant", {"kind": "bouc_wen", "params": {"foo": 1}},
+                     "unknown plant.params fields ['foo']", id="bouc-wen-params-unknown-key"),
+        pytest.param("plant", {"kind": "bouc_wen", "params": {"beta": 0.3, "gamma": -0.3}},
+                     "plant.params: beta must exceed |gamma| for a bounded loop, "
+                     "got beta=0.3, gamma=-0.3", id="bouc-wen-params-beta-not-above-gamma"),
+        pytest.param("plant", {"kind": "lti", "schedule": [{"time": 1, "gain_scale": [1, 2]}]},
+                     "bad lti plant: schedule entry {'time': 1.0, 'gain_scale': [1.0, 2.0]}: "
+                     "gain_scale must be a number, got [1.0, 2.0]",
+                     id="lti-schedule-gain-scale-list"),
+        pytest.param("plant", {"kind": "lti", "schedule": [{"time": 1, "num": 5}]},
+                     "bad lti plant: schedule entry {'time': 1.0, 'num': 5.0}: "
+                     "num must be a list, got 5.0", id="lti-schedule-num-number"),
+        pytest.param("plant", {"kind": "bouc_wen", "schedule": [{"time": 1, "gain": [1]}]},
+                     "bad bouc_wen plant: schedule entry {'time': 1.0, 'gain': [1.0]}: "
+                     "gain must be a number, got [1.0]", id="bouc-wen-schedule-gain-list"),
+        pytest.param("plant", {"kind": "bouc_wen", "schedule": [{"time": 1, "tau_scale": [2]}]},
+                     "bad bouc_wen plant: schedule entry {'time': 1.0, 'tau_scale': [2.0]}: "
+                     "tau_scale must be a number, got [2.0]",
+                     id="bouc-wen-schedule-tau-scale-list"),
+        pytest.param("plant", {"kind": "bogus"}, "unknown plant kind 'bogus'",
+                     id="plant-unknown-kind"),
+    ])
+    def test_bad_value_is_named_once_and_nothing_is_written(
+            self, tmp_path, capsys, monkeypatch, section, body, stderr):
+        self.assert_refused_before_step_0(tmp_path, capsys, monkeypatch, section, body, stderr)
+
+    @staticmethod
+    def assert_refused_before_step_0(tmp_path, capsys, monkeypatch, section, body, stderr):
+        """`run` on matched_lti with `section` replaced by `body` exits 2 with exactly
+        `stderr`, runs no step and writes nothing."""
         def no_step(*args):
             raise AssertionError("a step ran")
 

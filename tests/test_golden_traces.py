@@ -1,19 +1,6 @@
 """Every golden run reproduces its trace to the bit (see scripts/golden_traces.py)."""
 
-import importlib.util
-from pathlib import Path
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_traces.py"
-
-
-def _golden_module():
-    spec = importlib.util.spec_from_file_location("golden_traces", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden = _golden_module()
+import golden_traces as golden
 
 
 def test_traces_match_golden_digests():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,20 @@ class TestBoucWenPlant:
         assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
         assert np.array_equal(first[:50], run_plant(make([]), u)[:50])
         assert abs(first[50] - first[49]) < 0.5  # no jump: the state carried on
+
+    @pytest.mark.parametrize("make, entry, message", [
+        (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
+         {"time": 1, "gain_scale": [1, 2]}, "gain_scale must be a number, got [1, 2]"),
+        (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
+         {"time": 1, "num": 5}, "num must be a list, got 5"),
+        (lambda s: BoucWenPlant(BoucWenParams(), ts=TS, schedule=s),
+         {"time": 1, "gain": [1]}, "gain must be a number, got [1]"),
+        (lambda s: BoucWenPlant(BoucWenParams(), ts=TS, schedule=s),
+         {"time": True, "tau_scale": 2}, "time must be a number, got True"),
+    ], ids=["lti-gain-scale-list", "lti-num-number", "bouc-wen-gain-list", "bouc-wen-time-bool"])
+    def test_schedule_value_of_the_wrong_type_names_entry_and_key(self, make, entry, message):
+        with pytest.raises(ValueError, match=re.escape(f"schedule entry {entry!r}: {message}")):
+            make([entry])
 
     def test_bad_switch_fails_in_the_constructor(self):
         with pytest.raises(ValueError, match="tau must be positive"):

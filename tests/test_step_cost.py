@@ -1,22 +1,10 @@
 """The opcodes of a closed-loop run match their pinned counts (see scripts/step_cost.py)."""
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_cost.py"
-
-
-def _step_cost_module():
-    spec = importlib.util.spec_from_file_location("step_cost", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-step_cost = _step_cost_module()
+import step_cost
 
 
 def test_step_cost_matches_pinned_counts():

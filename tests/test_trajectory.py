@@ -1,15 +1,13 @@
 """The paired verdicts of scripts/trajectory.py on the checked-in BENCH files."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import trajectory
+
 ROOT = Path(__file__).resolve().parent.parent
-SPEC = importlib.util.spec_from_file_location("trajectory", ROOT / "scripts" / "trajectory.py")
-trajectory = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(trajectory)
 BETTER = {m["name"]: m["better"]
           for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
