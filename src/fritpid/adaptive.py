@@ -19,10 +19,10 @@ rules for R:
   (Salgado, Goodwin & Middleton 1988), which pulls R toward the floor
   R_inf = r_inf*I.
 
-A rule only forms the new R.  Every mode then re-solves P = R^-1 with the
-one scale-safe inverse, which also tests that R is positive definite, and
-takes the gain step k = P phi.  `Estimator.update` picks the rule by the
-mode: ``df`` has its own, the other three share the exponential one.
+Each rule is a branch of `Estimator.update` that only forms the new R:
+``df`` has its own, the other three share the exponential one.  Every mode
+then re-solves P = R^-1 with the one scale-safe inverse, which also tests
+that R is positive definite, and takes the gain step k = P phi.
 
 The per-step arithmetic is written out on Python floats: a symmetric 3x3
 matrix is held as its six unique entries (a00, a01, a02, a11, a12, a22), so
@@ -199,13 +199,31 @@ class Estimator:
             raise NumericalBreakdownError("regressor sample contains non-finite values")
         t0, t1, t2 = self.gains
         ehat = f0 * t0 + f1 * t1 + f2 * t2 - d
+        r00, r01, r02, r11, r12, r22 = self._R
         if self.mode == "df":
             self.deadzone_active = sqrt(f0 * f0 + f1 * f1 + f2 * f2) <= self.epsilon
             if self.deadzone_active:
                 return ehat
-            R = self._df(f0, f1, f2)
+            h0 = r00 * f0 + r01 * f1 + r02 * f2
+            h1 = r01 * f0 + r11 * f1 + r12 * f2
+            h2 = r02 * f0 + r12 * f1 + r22 * f2
+            a = f0 * h0 + f1 * h1 + f2 * h2
+            if not a >= 1e-300:
+                raise DenominatorUnderflowError(f"phi^T R phi = {a}")
+            # forget the rank-one slice of R along phi, then add the new sample
+            c = (1.0 - self.mu) / a
+            R = (
+                r00 - c * (h0 * h0) + f0 * f0, r01 - c * (h0 * h1) + f0 * f1,
+                r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
+                r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
+            )
         else:
-            R = self._exponential(f0, f1, f2)
+            # noforget (mu = 1), ef (floor 0) and er: R <- mu R + (1-mu) R_inf + phi phi^T
+            mu, floor = self.mu, self._floor
+            R = (
+                mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
+                mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
+            )
         P = p00, p01, p02, p11, p12, p22 = _inverse(R)
         # the gain step uses the P already updated for this sample: k = P phi
         t0 = t0 - ehat * (p00 * f0 + p01 * f1 + p02 * f2)
@@ -219,32 +237,6 @@ class Estimator:
     def eigenvalues(self) -> tuple[float, float]:
         """(min, max) eigenvalues of the covariance matrix."""
         return _eigen_bounds(*self._P)
-
-    def _exponential(self, f0, f1, f2):
-        # noforget (mu = 1), ef (floor 0) and er: R <- mu R + (1-mu) R_inf + phi phi^T
-        mu, floor = self.mu, self._floor
-        r00, r01, r02, r11, r12, r22 = self._R
-        return (
-            mu * r00 + floor + f0 * f0, mu * r01 + f0 * f1, mu * r02 + f0 * f2,
-            mu * r11 + floor + f1 * f1, mu * r12 + f1 * f2, mu * r22 + floor + f2 * f2,
-        )
-
-    def _df(self, f0, f1, f2):
-        mu = self.mu
-        r00, r01, r02, r11, r12, r22 = self._R
-        h0 = r00 * f0 + r01 * f1 + r02 * f2
-        h1 = r01 * f0 + r11 * f1 + r12 * f2
-        h2 = r02 * f0 + r12 * f1 + r22 * f2
-        a = f0 * h0 + f1 * h1 + f2 * h2
-        if not a >= 1e-300:
-            raise DenominatorUnderflowError(f"phi^T R phi = {a}")
-        # forget the rank-one slice of R along phi, then add the new sample
-        c = (1.0 - mu) / a
-        return (
-            r00 - c * (h0 * h0) + f0 * f0, r01 - c * (h0 * h1) + f0 * f1,
-            r02 - c * (h0 * h2) + f0 * f2, r11 - c * (h1 * h1) + f1 * f1,
-            r12 - c * (h1 * h2) + f1 * f2, r22 - c * (h2 * h2) + f2 * f2,
-        )
 
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:

@@ -46,45 +46,50 @@ def write_columns(path, header, columns, specs) -> None:
 def read_columns(path, names) -> list[list[float]]:
     """The named columns of a CSV file as lists of floats, in `names` order.
 
-    Raises `ValueError` naming the file when it has no header, lacks a named
-    column, has no data rows, or has a row whose field count differs from the
+    Raises `ValueError` naming the file when it does not decode, lacks a header,
+    a named column or data rows, or has a row whose field count differs from the
     header's or a field that is not a number.  Blank lines are skipped.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [n for n in names if n not in header]
-        if missing:
-            raise ValueError(f"{path}: header {','.join(header)} has no column {','.join(missing)}")
-        index = [header.index(n) for n in names]
-        # numpy parses the rows, but a line it may read otherwise than csv.reader and float() do
-        # (over csv's field limit; \x1c-\x1f, which numpy strips) reads as "?", which it refuses
-        limit, table = csv.field_size_limit(), ()
-        lines = (s if len(s) <= limit and "\x1c" not in s and "\x1d" not in s
-                 and "\x1e" not in s and "\x1f" not in s else "?" for s in fh)
-        with warnings.catch_warnings(), contextlib.suppress(ValueError):  # the csv loop words it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if len(table) and table.shape[1] == len(header):
-            return [table[:, i].tolist() for i in index]
-        fh.seek(0)
-        next(reader := csv.reader(fh))
-        cols = [[] for _ in names]
-        try:
-            for row in reader:
-                if len(row) != len(header):
-                    if not row:
-                        continue
-                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
-                for col, i in zip(cols, index):
-                    col.append(float(row[i]))
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
+            missing = ",".join(n for n in names if n not in header)
+            if missing:
+                raise ValueError(f"{path}: header {','.join(header)} has no column {missing}")
+            index = [header.index(n) for n in names]
+            # numpy parses the rows, but a line it may read otherwise than csv.reader and float()
+            # do (over csv's field limit; \x1c-\x1f, which numpy strips) reads as "?", refused
+            limit, table = csv.field_size_limit(), ()
+            lines = (s if len(s) <= limit and "\x1c" not in s and "\x1d" not in s
+                     and "\x1e" not in s and "\x1f" not in s else "?" for s in fh)
+            with warnings.catch_warnings(), contextlib.suppress(ValueError):  # csv loop words it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if len(table) and table.shape[1] == len(header):
+                return [table[:, i].tolist() for i in index]
+            fh.seek(0)
+            next(reader := csv.reader(fh))
+            cols = [[] for _ in names]
+            try:
+                for row in reader:
+                    if len(row) != len(header):
+                        if not row:
+                            continue
+                        raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                    for col, i in zip(cols, index):
+                        col.append(float(row[i]))
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # text is decoded a block at a time, so no line is named
+        raise ValueError(f"{path}: {exc}") from None
     if not cols[0]:
         raise ValueError(f"{path}: header but no data rows")
     return cols

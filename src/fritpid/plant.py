@@ -87,10 +87,12 @@ def _validate_schedule(schedule, keys):
                 f"schedule entry {entry!r} has unknown keys {sorted(entry.keys() - keys)}; "
                 f"allowed: {sorted(keys)}"
             )
-        for key, value in entry.items():  # a number is never a bool
-            if isinstance(value, bool) or not isinstance(value, keys[key]):
-                raise ValueError(f"schedule entry {entry!r}: {key} must be "
-                                 f"{'a list' if keys[key] is list else 'a number'}, got {value!r}")
+        for key, value in entry.items():  # a number is never a bool, alone or in a list
+            listed = keys[key] is list
+            if isinstance(value, bool) or not isinstance(value, keys[key]) or listed and not all(
+                    isinstance(v, (int, float)) and type(v) is not bool for v in value):
+                want = "a list of numbers" if listed else "a number"
+                raise ValueError(f"schedule entry {entry!r}: {key} must be {want}, got {value!r}")
         if not math.isfinite(entry["time"]):
             raise ValueError(f"schedule time must be finite, got {entry['time']}")
     if any(b["time"] <= a["time"] for a, b in zip(schedule, schedule[1:])):

@@ -242,7 +242,7 @@ class TestRun:
                      id="lti-schedule-gain-scale-list"),
         pytest.param("plant", {"kind": "lti", "schedule": [{"time": 1, "num": 5}]},
                      "bad lti plant: schedule entry {'time': 1.0, 'num': 5.0}: "
-                     "num must be a list, got 5.0", id="lti-schedule-num-number"),
+                     "num must be a list of numbers, got 5.0", id="lti-schedule-num-number"),
         pytest.param("plant", {"kind": "bouc_wen", "schedule": [{"time": 1, "gain": [1]}]},
                      "bad bouc_wen plant: schedule entry {'time': 1.0, 'gain': [1.0]}: "
                      "gain must be a number, got [1.0]", id="bouc-wen-schedule-gain-list"),
@@ -581,17 +581,27 @@ class TestTune:
                          "t is not evenly spaced by t[1] - t[0] = 0.01", id="uneven-t"),
             pytest.param("t,r,u,y\r\n0,1,2,0\r\n1,1,2,0\r\ninf,1,2,0\r\ninf,1,2,0\r\n",
                          "t is not evenly spaced", id="t-reaches-inf"),  # and no RuntimeWarning
+            # text is decoded a block at a time: the header read meets the first bad byte, and
+            # numpy's reader and then the csv loop meet the second, past the first block
+            pytest.param(b"t,r,u,y\xff\r\n0,1,2,0\r\n", "can't decode byte 0xff",
+                         id="undecodable-header"),
+            pytest.param(b"t,r,u,y\r\n" + b"0,1,2,0\r\n" * 2000 + b"1,1,2\xff,0\r\n",
+                         "can't decode byte 0xff", id="undecodable-data-row"),
         ],
     )
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "experiment.csv"
         if text is None:  # the dataset is "/", a directory
             path = Path("/")
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
         else:
             path.write_text(text, newline="")
         assert main(["tune", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and (text is None or "experiment." in err)
+        if isinstance(text, bytes):  # the file is named, and no line number is made up
+            assert err.startswith(f"error: {path}: ") and "line" not in err
 
     @pytest.mark.parametrize("out", ["experiment.csv"], ids=["out-is-the-csv"])
     def test_out_that_is_the_dataset_exits_2_before_reading_it(self, tmp_path, capsys,

@@ -460,6 +460,12 @@ class TestTraceIo:
         with pytest.raises(ValueError, match=r"trace\.csv: line 2: field larger than field limit"):
             RunTrace.load_csv(path)
 
+    def test_load_an_undecodable_file_names_it(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\r\n0\xff\r\n")
+        with pytest.raises(ValueError, match=r"trace\.csv: '[\w-]+' codec can't decode byte 0xff"):
+            RunTrace.load_csv(path)
+
     @pytest.mark.parametrize("mode", ["fixed", "df"])
     def test_bytes_match_reference_writer(self, tmp_path, mode):
         # fixed mode writes nan pmin/pmax; df sets deadzone on some steps

@@ -219,12 +219,17 @@ class TestBoucWenPlant:
         (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
          {"time": 1, "gain_scale": [1, 2]}, "gain_scale must be a number, got [1, 2]"),
         (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
-         {"time": 1, "num": 5}, "num must be a list, got 5"),
+         {"time": 1, "num": 5}, "num must be a list of numbers, got 5"),
+        (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
+         {"time": 1, "num": ["a", 1]}, "num must be a list of numbers, got ['a', 1]"),
+        (lambda s: LtiPlant(RationalFilter([0.0, 0.1], [1.0, -0.9]), schedule=s),
+         {"time": 1, "num": [True, 0.1]}, "num must be a list of numbers, got [True, 0.1]"),
         (lambda s: BoucWenPlant(BoucWenParams(), ts=TS, schedule=s),
          {"time": 1, "gain": [1]}, "gain must be a number, got [1]"),
         (lambda s: BoucWenPlant(BoucWenParams(), ts=TS, schedule=s),
          {"time": True, "tau_scale": 2}, "time must be a number, got True"),
-    ], ids=["lti-gain-scale-list", "lti-num-number", "bouc-wen-gain-list", "bouc-wen-time-bool"])
+    ], ids=["lti-gain-scale-list", "lti-num-number", "lti-num-string-entry", "lti-num-bool-entry",
+            "bouc-wen-gain-list", "bouc-wen-time-bool"])
     def test_schedule_value_of_the_wrong_type_names_entry_and_key(self, make, entry, message):
         with pytest.raises(ValueError, match=re.escape(f"schedule entry {entry!r}: {message}")):
             make([entry])
