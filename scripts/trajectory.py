@@ -19,33 +19,32 @@ alike.  The JSON written holds, per checkout:
                        no-regression check of a change against its parent needs
   opcodes_per_step     per estimator mode, from scripts/step_cost.py
   opcodes_per_layer    per mode, the opcodes per step of each function (co_qualname)
-  cli_wall_s           per CLI command, the wall seconds of each of 5 real
+  cli_wall_s           per CLI command, the wall seconds of each of 10 real
                        `python -m fritpid` processes (runs) and their median;
                        the checkouts take turns going first here too
   verdict              every checkout after the first, against the first: per
                        workload and metric, and per CLI command under "cli_wall_s"
 
 A verdict pairs the runs of the two checkouts by seed (CLI walls by repeat)
-and takes the log of each pair's ratio, checkout over first.  Its `ratio` is
-the Hodges-Lehmann estimate: the median of the Walsh averages (the means of
-every two log ratios, each with itself too), exponentiated.  `low` and
-`high` are the k-th smallest and k-th largest Walsh average, exponentiated:
-a distribution-free interval for the median ratio whose exact `confidence`
-comes from the signed-rank statistic, the largest k that keeps it >= 95 %
-(k = 9 of 55 at n = 10), or k = 1 where n allows no 95 % (93.75 % at n = 5).
-It reads `better` or `worse` when the whole interval lies on that side of 1,
-the side taken from BENCHMARK.json's `better` (CLI walls: lower), else
-`unresolved`.  No random numbers are drawn.
+and applies the benchmark gate's rule, with `better` and `bound` from the
+metric's end_to_end entry in BENCHMARK.json (a CLI wall's from wall_s).  A
+pair is won when the checkout reads better (a tie counts for neither); m and
+IQR = q3 - q1 are the first's median and spread, as in `summary`:
 
-Nothing under perfbench/ is changed; every run lasts BENCHMARK.json's
-run_seconds.
+  better       wins >= 0.9 n, and the checkout's median beats m by more than IQR
+  worse        the checkout's median is worse than m by more than bound * |m|
+  unresolved   neither, IQR > bound * |m|, and some run of the checkout reads
+               no better than some run of the first: too wide a spread to tell
+  within       every other case
+
+It exits 1 when any cell is worse, after it has written --out.  Nothing
+under perfbench/ is changed; every run lasts BENCHMARK.json's run_seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -55,7 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(10)
-CLI_REPEATS = 5
+CLI_REPEATS = 10
 CLI_COMMANDS = ["compare scenarios/load_change.json",
                 "compare scenarios/load_change.json --mu 0.99,0.9"]
 STEP_COST = """
@@ -129,38 +128,28 @@ def summary(runs: list, workload: str) -> dict:
     return out
 
 
-def signed_rank_k(n: int) -> tuple[int, float]:
-    """(k, confidence) of the interval from the k-th smallest to the k-th largest of the
-    n(n+1)/2 Walsh averages of n pairs: the largest k whose confidence is >= 95 %, else 1."""
-    ways = [1] + [0] * (n * (n + 1) // 2)  # ways[w]: the subsets of {1..n} that sum to w
-    for i in range(1, n + 1):
-        for w in range(len(ways) - 1, i - 1, -1):
-            ways[w] += ways[w - i]
-    # the interval misses the median when the signed-rank statistic is < k or > M - k
-    confidence = [1.0 - 2.0 * sum(ways[:k]) / 2**n for k in range(1, len(ways))]
-    k = max((k for k, c in enumerate(confidence, 1) if c >= 0.95), default=1)
-    return k, confidence[k - 1]
+def paired_verdict(parent: list, change: list, better: str, bound: float) -> dict:
+    """The gate's verdict on change against parent over the pairs (parent[i], change[i])."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower reads better
+    p, c = [sign * v for v in parent], [sign * v for v in change]
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    iqr, gain = q3 - q1, sign * (median - statistics.median(change))
+    wins = sum(b < a for a, b in zip(p, c))
+    verdict = ("better" if wins >= 0.9 * len(p) and gain > iqr else
+               "worse" if -gain > bound * abs(median) else
+               "unresolved" if iqr > bound * abs(median) and max(c) >= min(p) else "within")
+    return {"ratio": statistics.median(change) / median, "wins": wins, "n": len(p),
+            "iqr_pct": 100.0 * iqr / abs(median), "verdict": verdict}
 
 
-def paired_verdict(parent: list, change: list, better: str) -> dict:
-    """The verdict on change/parent over the pairs (parent[i], change[i])."""
-    logs = [math.log(c / p) for p, c in zip(parent, change)]
-    walsh = sorted((a + b) / 2.0 for i, a in enumerate(logs) for b in logs[i:])
-    k, confidence = signed_rank_k(len(logs))
-    low, high = math.exp(walsh[k - 1]), math.exp(walsh[-k])
-    if high < 1.0 or low > 1.0:  # the whole interval on one side of 1
-        verdict = "better" if (high < 1.0) == (better == "lower") else "worse"
-    else:
-        verdict = "unresolved"
-    return {"ratio": math.exp(statistics.median(walsh)), "low": low, "high": high,
-            "confidence": confidence, "n": len(logs), "verdict": verdict}
-
-
-def verdicts(parent: dict, change: dict, better: dict) -> dict:
+def verdicts(parent: dict, change: dict, rules: dict) -> dict:
     """{workload: {metric: verdict}, "cli_wall_s": {command: verdict}} of two checkout
-    entries; `better` maps each end-to-end metric to "lower" or "higher"."""
+    entries; `rules` maps each end-to-end metric to its BENCHMARK.json entry."""
     def by_seed(entry):
         return {(r["workload"], r["seed"]): r["metrics"] for r in entry["runs"]}
+
+    def judge(parent, change, metric):
+        return paired_verdict(parent, change, rules[metric]["better"], rules[metric]["bound"])
 
     mine, theirs = by_seed(change), by_seed(parent)
     out = {}
@@ -169,28 +158,31 @@ def verdicts(parent: dict, change: dict, better: dict) -> dict:
             pairs = out.setdefault(workload, {}).setdefault(metric, ([], []))
             pairs[0].append(theirs[workload, seed][metric])
             pairs[1].append(mine[workload, seed][metric])
-    out = {workload: {metric: paired_verdict(*pairs, better[metric])
-                      for metric, pairs in metrics.items() if metric in better}
+    out = {workload: {metric: judge(*pairs, metric)
+                      for metric, pairs in metrics.items() if metric in rules}
            for workload, metrics in out.items()}
     walls = change.get("cli_wall_s", {})
-    out["cli_wall_s"] = {
-        command: paired_verdict(timing["runs"], walls[command]["runs"], "lower")
-        for command, timing in parent.get("cli_wall_s", {}).items() if command in walls}
+    out["cli_wall_s"] = {command: judge(timing["runs"], walls[command]["runs"], "wall_s")
+                         for command, timing in parent.get("cli_wall_s", {}).items()
+                         if command in walls}
     return out
 
 
-def add_verdicts(checkouts: dict, better: dict) -> None:
-    """Give every checkout entry after the first its `verdict` against the first, and
-    print one line per cell."""
+def add_verdicts(checkouts: dict, rules: dict) -> bool:
+    """Give every checkout entry after the first its `verdict` against the first, print
+    one line per cell, and say whether any cell is worse."""
     first, *rest = checkouts
+    worse = False
     for name in rest:
-        checkouts[name]["verdict"] = verdicts(checkouts[first], checkouts[name], better)
+        checkouts[name]["verdict"] = verdicts(checkouts[first], checkouts[name], rules)
         print(f"{name} / {first}")
         for group, cells in checkouts[name]["verdict"].items():
             for what, v in cells.items():
                 label = f"{group}  {what}" if group != "cli_wall_s" else f"cli  {what}  wall"
-                print(f"  {label}  {v['ratio']:.3f} [{v['low']:.3f}, {v['high']:.3f}]  "
-                      f"n={v['n']} {100 * v['confidence']:.1f} %  {v['verdict']}")
+                print(f"  {label}  {v['ratio']:.3f}  {v['wins']}/{v['n']} won  "
+                      f"IQR {v['iqr_pct']:.1f} %  {v['verdict']}")
+                worse |= v["verdict"] == "worse"
+    return worse
 
 
 def main(argv=None) -> int:
@@ -201,12 +193,11 @@ def main(argv=None) -> int:
                         help="print the verdicts of a written file and run nothing")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: m for m in spec["end_to_end"]}
     if args.verdict:
         if args.checkouts or args.out:
             parser.error("--verdict takes no checkouts and no --out")
-        add_verdicts(json.loads(Path(args.verdict).read_text())["checkouts"], better)
-        return 0
+        return int(add_verdicts(json.loads(Path(args.verdict).read_text())["checkouts"], rules))
     if not args.checkouts or not args.out:
         parser.error("give one or more checkouts as NAME=DIR and --out")
     if not all("=" in c for c in args.checkouts):
@@ -241,10 +232,10 @@ def main(argv=None) -> int:
                             for w in spec["workloads"]}
         entry.update(step_cost(Path(root).resolve()))
         entry["cli_wall_s"] = walls[name]
-    add_verdicts(results, better)
+    worse = add_verdicts(results, rules)
     Path(args.out).write_text(json.dumps(
         {"seconds": seconds, "seeds": list(SEEDS), "checkouts": results}, indent=1) + "\n")
-    return 0
+    return int(worse)
 
 
 if __name__ == "__main__":

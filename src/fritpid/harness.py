@@ -130,7 +130,7 @@ class ReferenceSpec:
             half = period / 2.0
             return lambda t: offset + (amplitude if (t % period) < half else -amplitude)
         if not levels:  # staircase
-            raise ConfigError("staircase reference needs at least one level")
+            raise ConfigError("staircase reference levels must not be empty")
         if not interval > 0.0:
             raise ConfigError(f"staircase reference interval must be positive, got {interval}")
         last = len(levels) - 1

@@ -148,6 +148,9 @@ class ReferenceModel:
             raise ValueError(
                 f"reference model has pole magnitude {max(mags):.6g} >= 1"
             )
+        for what, f in (("Gm", filt), ("1 - Gm", one_minus(filt))):  # d or phi would be 0
+            if f.num == [0.0]:
+                raise ValueError(f"reference model {what} is 0 (num={filt.num}, den={filt.den})")
         self.filter = filt
 
     @classmethod
@@ -169,8 +172,8 @@ class ReferenceModel:
         for name, value in (("ts", ts), ("tau", tau)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"reference model {name} must be positive and finite, got {value}")
-        if not math.isfinite(dc_gain):
-            raise ValueError(f"reference model dc_gain must be finite, got {dc_gain}")
+        if not (math.isfinite(dc_gain) and dc_gain != 0.0):  # 0: Gm is 0
+            raise ValueError(f"reference model dc_gain must be finite and nonzero, got {dc_gain}")
         if discretization == "euler":
             pole = 1.0 - ts / tau
         elif discretization == "zoh":

@@ -47,6 +47,8 @@ class BoucWenParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if value == 0.0 and name in ("gain", "stiffness"):  # exactly 0: u never reaches y
+                raise ValueError(f"{name} must be nonzero, got {value}")
         # written as `not ... ok` so that NaN fails every check
         if not self.n >= 1:
             raise ValueError(f"hysteresis exponent n must be >= 1, got {self.n}")
@@ -119,9 +121,13 @@ class _PlantBase:
         self.noise_std = float(noise_std)
         self.saturation = saturation_bounds(saturation)
         self.schedule = _validate_schedule(schedule, self.SCHEDULE_KEYS)
-        self._stages = [initial]  # stage i follows switch i-1; a bad switch fails here
+        # stage i follows switch i-1, stage 0 a switch that changes nothing: all are checked
+        self._stages = [self._switched(initial, {})]
         for entry in self.schedule:
-            self._stages.append(self._switched(self._stages[-1], entry))
+            try:
+                self._stages.append(self._switched(self._stages[-1], entry))
+            except ValueError as exc:
+                raise ValueError(f"schedule entry {entry!r}: {exc}") from exc
         self._times = [entry["time"] for entry in self.schedule] + [math.inf]
         self.reset()
 
@@ -170,13 +176,12 @@ class LtiPlant(_PlantBase):
 
     SCHEDULE_KEYS = {"time": (int, float), "num": list, "den": list, "gain_scale": (int, float)}
 
-    def __init__(self, filt: RationalFilter, noise_std=0.0, saturation=None, schedule=()):
-        super().__init__(RationalFilter(filt.num, filt.den), noise_std, saturation, schedule)
-
     @staticmethod
     def _switched(filt, entry):
         num = [c * entry.get("gain_scale", 1.0) for c in entry.get("num", filt.num)]
         stage = RationalFilter(num, entry.get("den", filt.den))
+        if stage.num == [0.0]:  # trimmed, so [], [0, 0] and a gain_scale of 0 alike
+            raise ValueError("num is all zeros, so u never reaches y")
         if stage.order != filt.order:
             raise ValueError("schedule cannot change the plant order mid-run")
         return stage

@@ -35,6 +35,20 @@ def tree(root: Path) -> dict:
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+def field_names(edit) -> set:
+    """The keys of a JSON edit at any depth, less the names of scenario sections."""
+    if isinstance(edit, list):
+        return set().union(*map(field_names, edit))
+    if not isinstance(edit, dict):
+        return set()
+    return (edit.keys() - {"reference", "gm", "estimator", "plant"}).union(
+        *map(field_names, edit.values()))
+
+
+def no_step(*args):
+    raise AssertionError("a step ran")
+
+
 @pytest.fixture
 def short_scenario(tmp_path):
     cfg = {
@@ -194,16 +208,40 @@ class TestRun:
             pytest.param(None, {"seeds": [-1]}, id="seeds-negative-entry"),
             pytest.param(None, {"name": None}, id="name-null"),
             pytest.param(None, {"name": ""}, id="name-empty"),
+            # loops the method cannot tune: no input path, d = 0 or phi = 0
+            pytest.param("plant", {"num": []}, id="lti-num-empty"),
+            pytest.param("plant", {"num": [0, 0]}, id="lti-num-zeros"),
+            pytest.param("plant", {"schedule": [{"time": 10.0, "num": []}]},
+                         id="lti-schedule-num-empty"),
+            pytest.param("plant", {"schedule": [{"time": 10.0, "gain_scale": 0}]},
+                         id="lti-schedule-gain-scale-zero"),
+            pytest.param(None, {"plant": {"kind": "bouc_wen", "params": {"gain": 0}}},
+                         id="bouc-wen-gain-zero"),
+            pytest.param(None, {"plant": {"kind": "bouc_wen", "params": {"stiffness": 0}}},
+                         id="bouc-wen-stiffness-zero"),
+            pytest.param(None, {"plant": {"kind": "bouc_wen",
+                                          "schedule": [{"time": 10.0, "gain_scale": 0}]}},
+                         id="bouc-wen-schedule-gain-scale-zero"),
+            pytest.param("gm", {"dc_gain": 0}, id="gm-dc-gain-zero"),
+            pytest.param(None, {"gm": {"num": [0, 0], "den": [1, -0.5]}}, id="gm-num-zeros"),
+            pytest.param(None, {"gm": {"num": [1], "den": [1]}}, id="gm-is-1"),
         ],
     )
-    def test_invalid_scenario_exits_2(self, tmp_path, section, edit):
+    def test_invalid_scenario_exits_2(self, tmp_path, capsys, monkeypatch, section, edit):
+        """`run` refuses the edit before step 0: exit 2, a message that names a field of
+        the edit, and nothing written."""
         raw = json.loads(Path("scenarios/matched_lti.json").read_text())
         (raw if section is None else raw[section]).update(edit)
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+        monkeypatch.setattr(PidBasis, "step", no_step)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert any(re.search(rf"\b{name}\b", err) for name in field_names(edit)), err
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("section, body, stderr", [
         pytest.param("reference",
@@ -261,9 +299,6 @@ class TestRun:
     def assert_refused_before_step_0(tmp_path, capsys, monkeypatch, section, body, stderr):
         """`run` on matched_lti with `section` replaced by `body` exits 2 with exactly
         `stderr`, runs no step and writes nothing."""
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
         monkeypatch.setattr(PidBasis, "step", no_step)
         raw = json.loads(Path(MATCHED_LTI).read_text())
         raw[section] = body
@@ -303,9 +338,6 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario", ["matched_lti", "load_change"])
     def test_negative_seed_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch, scenario):
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
         monkeypatch.setattr(PidBasis, "step", no_step)
         path = f"scenarios/{scenario}.json"
         assert main(["run", path, "--seed", "-1", "--out", str(tmp_path)]) == 2
@@ -322,9 +354,6 @@ class TestRun:
             "square-amplitude-offset"])
     def test_overflowing_reference_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                          reference, field):
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
         monkeypatch.setattr(PidBasis, "step", no_step)
         raw = json.loads(Path("scenarios/matched_lti.json").read_text())
         raw["reference"] = reference
@@ -417,9 +446,6 @@ class TestRun:
     ])
     def test_unusable_output_exits_2_before_step_0(self, tmp_path, capsys, monkeypatch,
                                                    out, dataset, message):
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
         monkeypatch.setattr(PidBasis, "step", no_step)
         (tmp_path / "taken").write_text("")
         argv = ["run", "scenarios/matched_lti.json", "--out", str(tmp_path / out)]
@@ -434,9 +460,6 @@ class TestRun:
     @pytest.mark.parametrize("file", ["short_trace.csv", "short_summary.json"])
     def test_output_that_is_the_scenario_exits_2_before_step_0(self, tmp_path, short_scenario,
                                                                capsys, monkeypatch, file):
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
         monkeypatch.setattr(PidBasis, "step", no_step)
         scenario = short_scenario.rename(tmp_path / file)  # the scenario is named "short"
         before = tree(tmp_path)
@@ -622,6 +645,14 @@ class TestTune:
         matched_loop_data(THETA_STAR).save(path)
         assert main(["tune", str(path), f"{flag}={value}"]) == 2
         assert re.search(rf"\b{field}\b", capsys.readouterr().err)
+
+    def test_zero_reference_model_gain_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "experiment.csv"
+        matched_loop_data(THETA_STAR).save(path)
+        assert main(["tune", str(path), "--gm-dc-gain", "0", "--out", str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: reference model dc_gain must be finite and nonzero, got 0.0\n")
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_degenerate_dataset_exits_3(self, tmp_path):
         flat = ClosedLoopDataset(

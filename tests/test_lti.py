@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ class TestReferenceModel:
     def test_bad_discretization(self):
         with pytest.raises(ValueError):
             ReferenceModel.first_order(0.01, discretization="tustin")
+
+    @pytest.mark.parametrize("num, den, what", [
+        ([0.0, 0.0], [1.0, -0.5], "Gm is 0"), ([], [1.0], "Gm is 0"),
+        ([1.0], [1.0], "1 - Gm is 0"), ([2.0, -1.0], [2.0, -1.0], "1 - Gm is 0"),
+    ])
+    def test_rejects_a_model_with_nothing_to_fit(self, num, den, what):
+        # Gm = 0 makes d = 0, and Gm = 1 makes phi = 0, on every step
+        with pytest.raises(ValueError, match=f"reference model {re.escape(what)}"):
+            ReferenceModel(RationalFilter(num, den))
+
+    def test_first_order_names_a_zero_dc_gain(self):
+        with pytest.raises(ValueError, match="dc_gain must be finite and nonzero, got 0.0"):
+            ReferenceModel.first_order(0.01, dc_gain=0.0)
+        ReferenceModel.first_order(0.01, dc_gain=1e-300)  # a small gain is a model
 
 
 def reference_step(b, a, w, u):

@@ -56,6 +56,21 @@ class TestLtiPlant:
         assert y[4999] == pytest.approx(1.0, abs=1e-3)
         assert y[-1] == pytest.approx(2.0, abs=1e-3)
 
+    @pytest.mark.parametrize("num, schedule, message", [
+        ([], [], "num is all zeros"),
+        ([0.0, 0.0], [], "num is all zeros"),
+        ([0.0, 0.1], [{"time": 1.0, "gain_scale": 0.0}],
+         "schedule entry {'time': 1.0, 'gain_scale': 0.0}: num is all zeros"),
+        ([0.0, 0.1], [{"time": 1.0, "gain_scale": 0.5}, {"time": 2.0, "num": [0.0, -0.0]}],
+         "schedule entry {'time': 2.0, 'num': [0.0, -0.0]}: num is all zeros"),
+    ], ids=["empty", "zeros", "gain-scale-zero", "second-switch-num-zeros"])
+    def test_a_stage_with_no_input_path_is_refused_and_named(self, num, schedule, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, so u never reaches y$"):
+            LtiPlant(RationalFilter(num, [1.0, -0.9]), schedule=schedule)
+        # the rule is exactly zero: a small gain is a real plant
+        LtiPlant(RationalFilter([0.0, 1e-300], [1.0, -0.9]),
+                 schedule=[{"time": 1.0, "gain_scale": 1e-6}])
+
     def test_time_must_not_decrease(self):
         p = LtiPlant(RationalFilter([1.0], [1.0]))
         p.reset(seed=0)
@@ -161,6 +176,10 @@ class TestBoucWenPlant:
             BoucWenParams(beta=0.3, gamma=-0.3)  # beta <= |gamma|: unbounded loop
         with pytest.raises(ValueError):
             BoucWenParams(tau=float("nan"))
+        for name in ("gain", "stiffness"):  # exactly zero: u would never reach y
+            with pytest.raises(ValueError, match=f"^{name} must be nonzero, got 0.0$"):
+                BoucWenParams(**{name: 0.0})
+            BoucWenParams(**{name: 1e-6})
 
     def test_switches_match_per_step_exp_reference(self):
         """The cached exp(-ts/tau) and drive constants give the same bits as

@@ -1,6 +1,7 @@
 """The paired verdicts of scripts/trajectory.py on the checked-in BENCH files."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,31 +9,57 @@ import pytest
 import trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
-BETTER = {m["name"]: m["better"]
-          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+RULES = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+MIXED = "compare scenarios/load_change.json --mu 0.99,0.9"
 
 
-@pytest.mark.parametrize("n, k, confidence", [(5, 1, 1 - 2 / 32), (10, 9, 1 - 50 / 1024)])
-def test_signed_rank_interval(n, k, confidence):
-    assert trajectory.signed_rank_k(n) == (k, confidence)
+def bench_verdicts(file):
+    parent, change = json.loads((ROOT / file).read_text())["checkouts"].values()
+    return trajectory.verdicts(parent, change, RULES)
 
 
 @pytest.mark.parametrize("file, group, what, cell", [
-    ("BENCH_30.json", "compare_load_change", "step_us", "1.007 [0.976, 1.085] unresolved"),
-    ("BENCH_30.json", "compare_load_change", "setup_s", "1.165 [0.997, 1.366] unresolved"),
-    ("BENCH_30.json", "record_and_tune", "tune_s", "0.921 [0.839, 1.025] unresolved"),
-    ("BENCH_30.json", "cli_wall_s", "compare scenarios/load_change.json",
-     "1.005 [0.916, 1.083] unresolved"),
-    ("BENCH_27.json", "record_and_tune", "tune_s", "0.759 [0.644, 0.800] better"),
-    ("BENCH_27.json", "compare_load_change", "peak_rss_mb", "0.994 [0.992, 0.996] better"),
+    ("BENCH_30.json", "compare_load_change", "setup_s", "1.290 4/10 worse"),
+    ("BENCH_30.json", "long_run_lti", "setup_s", "0.980 7/10 unresolved"),
+    ("BENCH_30.json", "record_and_tune", "setup_s", "1.085 3/10 unresolved"),
+    ("BENCH_30.json", "record_and_tune", "wall_s", "0.993 8/10 unresolved"),
+    ("BENCH_30.json", "record_and_tune", "step_us", "0.989 8/10 unresolved"),
+    ("BENCH_30.json", "record_and_tune", "record_s", "0.989 8/10 unresolved"),
+    ("BENCH_30.json", "compare_load_change", "step_us", "1.006 5/10 within"),
+    ("BENCH_30.json", "record_and_tune", "tune_s", "0.963 8/10 within"),
+    ("BENCH_30.json", "cli_wall_s", "compare scenarios/load_change.json", "1.000 2/5 within"),
+    ("BENCH_30.json", "cli_wall_s", MIXED, "0.976 4/5 within"),
+    ("BENCH_27.json", "record_and_tune", "tune_s", "0.733 5/5 better"),
+    ("BENCH_27.json", "record_and_tune", "wall_s", "0.838 5/5 better"),
+    ("BENCH_27.json", "compare_load_change", "peak_rss_mb", "0.995 5/5 better"),
+    ("BENCH_27.json", "long_run_lti", "setup_s", "1.011 4/5 unresolved"),
+    ("BENCH_27.json", "record_and_tune", "setup_s", "0.681 4/5 within"),
 ])
 def test_verdicts_of_checked_in_files(file, group, what, cell):
-    parent, change = json.loads((ROOT / file).read_text())["checkouts"].values()
-    v = trajectory.verdicts(parent, change, BETTER)[group][what]
-    assert f"{v['ratio']:.3f} [{v['low']:.3f}, {v['high']:.3f}] {v['verdict']}" == cell
+    v = bench_verdicts(file)[group][what]
+    assert f"{v['ratio']:.3f} {v['wins']}/{v['n']} {v['verdict']}" == cell
+
+
+@pytest.mark.parametrize("file, counts, code", [
+    ("BENCH_30.json", {"worse": 1, "unresolved": 5, "within": 17}, 1),
+    ("BENCH_27.json", {"better": 3, "unresolved": 1, "within": 17}, 0),
+])
+def test_every_cell_and_the_exit_code(file, counts, code, capsys):
+    cells = Counter(v["verdict"] for group in bench_verdicts(file).values()
+                    for v in group.values())
+    assert cells == counts
+    assert trajectory.main(["--verdict", str(ROOT / file)]) == code
+    assert capsys.readouterr().out.count("\n") == 1 + sum(counts.values())
+
+
+def test_a_tie_counts_for_neither_side():
+    v = trajectory.paired_verdict([1.0] * 10, [1.0] * 9 + [0.5], "lower", 0.25)
+    assert (v["wins"], v["verdict"]) == (1, "within")
+    assert trajectory.paired_verdict([1.0] * 10, [1.0] * 10, "lower", 0.25)["wins"] == 0
 
 
 def test_a_higher_better_metric_that_falls_is_worse():
-    v = trajectory.paired_verdict([1.0] * 5, [0.9, 0.91, 0.92, 0.93, 0.94], "higher")
-    assert v["verdict"] == "worse"
-    assert trajectory.paired_verdict([1.0] * 5, [0.9] * 5, "lower")["verdict"] == "better"
+    parent, change = [1.0] * 5, [0.9, 0.91, 0.92, 0.93, 0.94]  # an 8 % drop
+    assert trajectory.paired_verdict(parent, change, "higher", 0.25)["verdict"] == "within"
+    assert trajectory.paired_verdict(parent, change, "higher", 0.01)["verdict"] == "worse"
+    assert trajectory.paired_verdict(parent, [0.9] * 5, "lower", 0.25)["verdict"] == "better"
