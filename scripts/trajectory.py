@@ -37,6 +37,9 @@ IQR = q3 - q1 are the first's median and spread, as in `summary`:
                no better than some run of the first: too wide a spread to tell
   within       every other case
 
+A cell whose m is 0 is judged by the same rule; its ratio of medians and its
+IQR as a % of m are null in the JSON and print as n/a.
+
 It exits 1 when any cell is worse, after it has written --out.  Nothing
 under perfbench/ is changed; every run lasts BENCHMARK.json's run_seconds.
 """
@@ -138,8 +141,9 @@ def paired_verdict(parent: list, change: list, better: str, bound: float) -> dic
     verdict = ("better" if wins >= 0.9 * len(p) and gain > iqr else
                "worse" if -gain > bound * abs(median) else
                "unresolved" if iqr > bound * abs(median) and max(c) >= min(p) else "within")
-    return {"ratio": statistics.median(change) / median, "wins": wins, "n": len(p),
-            "iqr_pct": 100.0 * iqr / abs(median), "verdict": verdict}
+    return {"ratio": statistics.median(change) / median if median else None, "wins": wins,
+            "n": len(p), "iqr_pct": 100.0 * iqr / abs(median) if median else None,
+            "verdict": verdict}
 
 
 def verdicts(parent: dict, change: dict, rules: dict) -> dict:
@@ -179,8 +183,9 @@ def add_verdicts(checkouts: dict, rules: dict) -> bool:
         for group, cells in checkouts[name]["verdict"].items():
             for what, v in cells.items():
                 label = f"{group}  {what}" if group != "cli_wall_s" else f"cli  {what}  wall"
-                print(f"  {label}  {v['ratio']:.3f}  {v['wins']}/{v['n']} won  "
-                      f"IQR {v['iqr_pct']:.1f} %  {v['verdict']}")
+                ratio = "n/a" if v["ratio"] is None else f"{v['ratio']:.3f}"
+                iqr = "n/a" if v["iqr_pct"] is None else f"{v['iqr_pct']:.1f} %"
+                print(f"  {label}  {ratio}  {v['wins']}/{v['n']} won  IQR {iqr}  {v['verdict']}")
                 worse |= v["verdict"] == "worse"
     return worse
 

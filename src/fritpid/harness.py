@@ -408,31 +408,41 @@ def method_variants(base: ScenarioConfig, methods=ESTIMATOR_MODES) -> list[Scena
     return [_variant(base, mode, mode=mode) for mode in methods]
 
 
+def _spread(values: list[float]) -> tuple[float, float, float, float, float]:
+    """(min, q1, median, q3, max) of `values`, bit for bit as numpy's default
+    (`linear`) `np.percentile` and `np.median` give them."""
+    s, n = sorted(values), len(values)
+
+    def percentile(q: float) -> float:  # numpy's virtual index and `_lerp`
+        i, t = int((n - 1) * q), (n - 1) * q % 1
+        a, b = s[i], s[min(i + 1, n - 1)]
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+    median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    return s[0], percentile(0.25), median, percentile(0.75), s[-1]
+
+
+def _errors(trace: RunTrace) -> tuple[float, float]:
+    return trace.mae, trace.max_ae
+
+
 def compare_methods(cfgs: list[ScenarioConfig]) -> list[dict]:
     """Run each scenario over its trials; summarize the MAE distribution.
 
     Returns one row per scenario with min/q1/median/q3/max of MAE and
-    maxAE over the evaluation window.
+    maxAE over the evaluation window.  Each trial's trace is reduced to its
+    (MAE, maxAE) before the next trial runs, so one trace is held at a time.
     """
     table = []
     for cfg in cfgs:
-        maes, maxes = [], []
-        for seed in cfg.trial_seeds():
-            trace = run_scenario(cfg, seed=seed)
-            maes.append(trace.mae)
-            maxes.append(trace.max_ae)
-        maes_arr = np.array(maes)
-        row = {
+        errors = [_errors(run_scenario(cfg, seed=seed)) for seed in cfg.trial_seeds()]
+        mae = _spread([e[0] for e in errors])
+        table.append({
             "name": cfg.name,
             "mode": cfg.estimator.mode,
             "trials": cfg.trials,
-            "mae_min": float(maes_arr.min()),
-            "mae_q1": float(np.percentile(maes_arr, 25)),
-            "mae_median": float(np.median(maes_arr)),
-            "mae_q3": float(np.percentile(maes_arr, 75)),
-            "mae_max": float(maes_arr.max()),
-            "maxae_median": float(np.median(maxes)),
-        }
-        table.append(row)
+            **dict(zip(("mae_min", "mae_q1", "mae_median", "mae_q3", "mae_max"), mae)),
+            "maxae_median": _spread([e[1] for e in errors])[2],
+        })
     return table
 

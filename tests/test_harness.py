@@ -3,7 +3,11 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fritpid import harness
 from fritpid.adaptive import RegressorGenerator
 from fritpid.csvio import CHUNK_ROWS
 from fritpid.harness import (
@@ -515,3 +520,48 @@ class TestComparisonHelpers:
         cfgs = method_variants(identity_plant_config(), ["fixed", "df"])
         assert [c.estimator.mode for c in cfgs] == ["fixed", "df"]
         assert cfgs[0].name.endswith("/fixed")
+
+    # MAE and maxAE are finite and non-negative; the pool draws ties and zeros
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.lists(st.floats(0.0, allow_infinity=False) | st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=1, max_size=12))
+    def test_spread_is_numpys_percentile_and_median_to_the_bit(self, values):
+        a = np.array(values)
+        with np.errstate(over="ignore"):  # the mean of two values near the float max is inf
+            numpy = [a.min(), np.percentile(a, 25), np.median(a), np.percentile(a, 75), a.max()]
+        assert [x.hex() for x in harness._spread(values)] == [float(x).hex() for x in numpy]
+
+    def test_one_trace_is_held_at_a_time(self, monkeypatch):
+        real, traces, alive_at_start = harness.run_scenario, [], []
+
+        def run_scenario(cfg, seed=None):
+            alive_at_start.append([k for k, ref in enumerate(traces) if ref() is not None])
+            trace = real(cfg, seed=seed)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(harness, "run_scenario", run_scenario)
+        cfg = replace(identity_plant_config(), duration=1.0, evaluation_window=[0.0, 1.0],
+                      trials=3)
+        rows = compare_methods(method_variants(cfg, ["fixed", "df"]))
+        # trial k + 1 starts with no trace alive, within a row and across rows
+        assert alive_at_start == [[]] * 6
+        assert [ref() for ref in traces] == [None] * 6
+        monkeypatch.undo()
+        assert rows == compare_methods(method_variants(cfg, ["fixed", "df"]))
+
+    def test_a_comparison_never_imports_numpy_ma(self):
+        # a subprocess, since another test may have imported numpy.ma in this one
+        code = """if True:
+            import sys
+            from dataclasses import replace
+            from fritpid import harness
+            base = harness.ScenarioConfig.from_json(sys.argv[1])
+            short = replace(base, duration=1.0, evaluation_window=[0.0, 1.0])
+            rows = harness.compare_methods(harness.method_variants(short))
+            print(len(rows), "numpy.ma" in sys.modules)
+        """
+        done = subprocess.run([sys.executable, "-c", code, str(ROOT / "scenarios/load_change.json")],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "5 False\n"

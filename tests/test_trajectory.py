@@ -34,6 +34,7 @@ def bench_verdicts(file):
     ("BENCH_27.json", "compare_load_change", "peak_rss_mb", "0.995 5/5 better"),
     ("BENCH_27.json", "long_run_lti", "setup_s", "1.011 4/5 unresolved"),
     ("BENCH_27.json", "record_and_tune", "setup_s", "0.681 4/5 within"),
+    ("BENCH_38.json", "compare_load_change", "peak_rss_mb", "0.947 10/10 better"),
 ])
 def test_verdicts_of_checked_in_files(file, group, what, cell):
     v = bench_verdicts(file)[group][what]
@@ -43,6 +44,7 @@ def test_verdicts_of_checked_in_files(file, group, what, cell):
 @pytest.mark.parametrize("file, counts, code", [
     ("BENCH_30.json", {"worse": 1, "unresolved": 5, "within": 17}, 1),
     ("BENCH_27.json", {"better": 3, "unresolved": 1, "within": 17}, 0),
+    ("BENCH_38.json", {"better": 1, "unresolved": 3, "within": 19}, 0),
 ])
 def test_every_cell_and_the_exit_code(file, counts, code, capsys):
     cells = Counter(v["verdict"] for group in bench_verdicts(file).values()
@@ -63,3 +65,17 @@ def test_a_higher_better_metric_that_falls_is_worse():
     assert trajectory.paired_verdict(parent, change, "higher", 0.25)["verdict"] == "within"
     assert trajectory.paired_verdict(parent, change, "higher", 0.01)["verdict"] == "worse"
     assert trajectory.paired_verdict(parent, [0.9] * 5, "lower", 0.25)["verdict"] == "better"
+
+
+def test_a_zero_parent_median_is_judged_by_the_same_rule(capsys):
+    def judge(change):
+        return trajectory.paired_verdict([0.0] * 10, change, "higher", 0.01)
+
+    assert judge([0.0] * 10) == {"ratio": None, "wins": 0, "n": 10, "iqr_pct": None,
+                                 "verdict": "within"}
+    assert judge([1.0] * 10)["verdict"] == "better"
+    assert judge([0.0] * 9 + [-1.0])["verdict"] == "within"
+    assert judge([-1.0] * 10)["verdict"] == "worse"
+    runs = [{"workload": "w", "seed": s, "metrics": {"ok_frac": 0.0}} for s in range(10)]
+    assert not trajectory.add_verdicts({"parent": {"runs": runs}, "change": {"runs": runs}}, RULES)
+    assert "w  ok_frac  n/a  0/10 won  IQR n/a  within" in capsys.readouterr().out
