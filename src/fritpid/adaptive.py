@@ -32,12 +32,12 @@ array snapshots the estimator hands out.
 
 from __future__ import annotations
 
-from math import acos, cos, inf, isfinite, nan, pi, sqrt
+from math import acos, cos, inf, isfinite, pi, sqrt
 
 import numpy as np
 
 from .controller import PidBasis, as_gains
-from .lti import RationalFilter, one_minus
+from .lti import RationalFilter, one_minus, positive_scalar
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -163,8 +163,8 @@ class Estimator:
         self.mu = 1.0 if mode == "noforget" else mu
         self.epsilon = epsilon
         self.gains = as_gains(theta0)
-        r0 = _positive_scalar(r0, "r0")
-        r_inf = _positive_scalar(r_inf, "r_inf")
+        r0 = positive_scalar(r0, "r0")
+        r_inf = positive_scalar(r_inf, "r_inf")
         if mode == "er" and r0 < r_inf:
             raise ValueError(f"r0 must dominate r_inf, got r0={r0} < r_inf={r_inf}")
         # R_inf is r_inf*I, so er's floor (1 - mu) R_inf adds to the diagonal only
@@ -241,7 +241,7 @@ class Estimator:
 
 def RlsEstimator(theta0, p0=1e4, mu: float = 1.0) -> Estimator:
     """Plain RLS (mu = 1) or exponential forgetting (mu < 1) from P(0) = p0."""
-    r0 = 1.0 / _positive_scalar(p0, "p0")
+    r0 = 1.0 / positive_scalar(p0, "p0")
     return Estimator("noforget" if mu == 1.0 else "ef", theta0, mu=mu, r0=r0)
 
 
@@ -254,11 +254,3 @@ def DirectionalForgettingRls(theta0, r0=0.01, mu: float = 0.9,
 def ExponentialResettingRls(theta0, r0=0.01, r_inf=0.01, mu: float = 0.99) -> Estimator:
     """`Estimator` in ``er`` mode."""
     return Estimator("er", theta0, mu=mu, r0=r0, r_inf=r_inf)
-
-
-def _positive_scalar(value, field: str) -> float:
-    """value as a float, if it is a positive finite scalar."""
-    v = float(value) if np.ndim(value) == 0 else nan
-    if not 0.0 < v < inf:
-        raise ValueError(f"{field} must be a positive finite scalar, got {value!r}")
-    return v

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .lti import RationalFilter
+from .lti import RationalFilter, positive_scalar
 
 
 def as_gains(theta) -> tuple[float, float, float]:
@@ -30,9 +30,7 @@ class PidBasis:
     """The three basis filters applied to a shared scalar input stream."""
 
     def __init__(self, ts: float):
-        if not 0.0 < ts < math.inf:  # written so that NaN fails too
-            raise ValueError(f"sampling time must be positive and finite, got {ts}")
-        self.ts = float(ts)
+        self.ts = positive_scalar(ts, "sampling time")
         self._d0, self._d1 = 1.0 / self.ts, -1.0 / self.ts  # differencer numerator
         self._integ = 0.0  # integrator delay line
         self._diff = 0.0  # differencer delay line

@@ -22,7 +22,7 @@ import numpy as np
 from .adaptive import NumericalBreakdownError
 from .controller import PidBasis, as_gains, pid_filter
 from .csvio import read_columns, write_columns
-from .lti import ReferenceModel, one_minus
+from .lti import ReferenceModel, one_minus, positive_scalar
 
 PROPERNESS_TOL = 1e-9
 CONDITION_LIMIT = 1e12
@@ -66,8 +66,7 @@ class ClosedLoopDataset:
             and np.all(np.isfinite(self.r))
         ):
             raise ValueError("dataset contains non-finite samples")
-        if not 0.0 < self.ts < math.inf:
-            raise ValueError(f"ts must be positive and finite, got {self.ts}")
+        self.ts = positive_scalar(self.ts, "ts")
 
     def __len__(self) -> int:
         return len(self.u0)

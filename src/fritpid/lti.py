@@ -15,6 +15,14 @@ import math
 import numpy as np
 
 
+def positive_scalar(value, name: str) -> float:
+    """value as a float, if it is a positive finite scalar; else a ValueError naming it."""
+    v = float(value) if np.ndim(value) == 0 else math.nan
+    if not 0.0 < v < math.inf:  # written so that NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return v
+
+
 def _trim(coeffs: list[float]) -> list[float]:
     """Drop exactly-zero trailing coefficients, keeping at least one."""
     out = list(coeffs)
@@ -26,9 +34,7 @@ def _trim(coeffs: list[float]) -> list[float]:
 class RationalFilter:
     """Stateful SISO filter num(z^-1)/den(z^-1); num and den are sequences."""
 
-    def __new__(cls, num=None, den=None):
-        if num is None and den is None:  # deepcopy and pickle: an empty instance of cls
-            return super().__new__(cls)
+    def __new__(cls, num, den):
         num = [float(c) for c in num]
         den = [float(c) for c in den]
         if not all(map(math.isfinite, num + den)):
@@ -51,6 +57,9 @@ class RationalFilter:
             self._b0, self._b1, self._b2 = self._b + [0.0] * (3 - n)
             _, self._a1, self._a2 = self._a + [0.0] * (3 - n)
         return self
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the checks, then restore _w
+        return self.num, self.den
 
     @property
     def order(self) -> int:
@@ -168,10 +177,8 @@ class ReferenceModel:
         0.01 z^-1 / (1 - 0.99 z^-1); ``zoh`` is the exact unit-gain
         discretization.
         """
-        # written as `not ... ok` so that NaN fails every check
-        for name, value in (("ts", ts), ("tau", tau)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"reference model {name} must be positive and finite, got {value}")
+        ts = positive_scalar(ts, "reference model ts")
+        tau = positive_scalar(tau, "reference model tau")
         if not (math.isfinite(dc_gain) and dc_gain != 0.0):  # 0: Gm is 0
             raise ValueError(f"reference model dc_gain must be finite and nonzero, got {dc_gain}")
         if discretization == "euler":

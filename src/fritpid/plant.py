@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import RationalFilter
+from .lti import RationalFilter, positive_scalar
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,8 @@ class BoucWenParams:
         # written as `not ... ok` so that NaN fails every check
         if not self.n >= 1:
             raise ValueError(f"hysteresis exponent n must be >= 1, got {self.n}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.sigma > 0:
-            raise ValueError(f"stroke scale sigma must be positive, got {self.sigma}")
+        positive_scalar(self.tau, "tau")
+        positive_scalar(self.sigma, "stroke scale sigma")
         if not self.beta > abs(self.gamma):
             raise ValueError(
                 f"beta must exceed |gamma| for a bounded loop, got beta={self.beta}, "
@@ -210,9 +208,7 @@ class BoucWenPlant(_PlantBase):
 
     def __init__(self, params: BoucWenParams, ts: float = 0.01,
                  noise_std=0.0, saturation=None, schedule=()):
-        if not 0.0 < ts < math.inf:  # written so that NaN fails too
-            raise ValueError(f"ts must be positive and finite, got {ts}")
-        self.ts = float(ts)
+        self.ts = positive_scalar(ts, "ts")
         super().__init__(params, noise_std, saturation, schedule)
 
     @staticmethod

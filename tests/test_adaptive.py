@@ -565,7 +565,7 @@ class TestFactory:
 
     def test_matrix_r0_rejected(self):
         # R(0) = r0 * I: the initial information is a scalar, never a matrix
-        with pytest.raises(ValueError, match="r0 must be a positive finite scalar"):
+        with pytest.raises(ValueError, match="r0 must be positive and finite"):
             Estimator("df", [0.0, 0.0, 0.0], r0=np.eye(3).tolist())
 
     @pytest.mark.parametrize(
@@ -575,7 +575,7 @@ class TestFactory:
          [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]],
     )
     def test_non_positive_definite_r0_rejected(self, r0):
-        with pytest.raises(ValueError, match="r0 must be a positive finite scalar"):
+        with pytest.raises(ValueError, match="r0 must be positive and finite"):
             Estimator("df", [0.0, 0.0, 0.0], r0=r0)
 
     def test_state_reads_are_snapshots(self):

@@ -5,7 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from fritpid.adaptive import Estimator, RlsEstimator
+from fritpid.controller import PidBasis
+from fritpid.frit import ClosedLoopDataset
 from fritpid.lti import RationalFilter, ReferenceModel, one_minus
+from fritpid.plant import BoucWenParams, BoucWenPlant
 
 
 def random_filter(rng, order=2):
@@ -28,6 +32,8 @@ class TestConstruction:
     def test_needs_num_and_den(self):
         with pytest.raises(TypeError):
             RationalFilter([1.0])
+        with pytest.raises(TypeError):  # no instance without checked coefficients
+            RationalFilter()
 
     def test_rejects_zero_leading_den(self):
         with pytest.raises(ValueError):
@@ -45,6 +51,35 @@ class TestConstruction:
     def test_first_order_model_names_the_non_finite_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             ReferenceModel.first_order(0.01, **{field: value})
+
+
+NOT_POSITIVE = {"zero": 0.0, "negative": -1.0, "nan": np.nan, "inf": np.inf,
+                "array": np.array([0.01, 0.02])}
+# (id, the name the refusal gives, a build from the value, the bad values it meets)
+POSITIVE_SETTINGS = [
+    ("pid-basis-ts", "sampling time", PidBasis, NOT_POSITIVE),
+    ("plant-ts", "ts", lambda v: BoucWenPlant(BoucWenParams(), ts=v), NOT_POSITIVE),
+    ("dataset-ts", "ts", lambda v: ClosedLoopDataset(np.ones(5), np.ones(5), np.ones(5), ts=v),
+     NOT_POSITIVE),
+    ("model-ts", "reference model ts", ReferenceModel.first_order, NOT_POSITIVE),
+    ("model-tau", "reference model tau", lambda v: ReferenceModel.first_order(0.01, tau=v),
+     NOT_POSITIVE),
+    ("r0", "r0", lambda v: Estimator("df", [0.0, 0.0, 0.0], r0=v), NOT_POSITIVE),
+    ("r_inf", "r_inf", lambda v: Estimator("er", [0.0, 0.0, 0.0], r_inf=v), NOT_POSITIVE),
+    ("p0", "p0", lambda v: RlsEstimator([0.0, 0.0, 0.0], p0=v), NOT_POSITIVE),
+    # BoucWenParams refuses nan, inf and arrays in its finiteness loop first
+    ("params-tau", "tau", lambda v: BoucWenParams(tau=v), ("zero", "negative")),
+    ("params-sigma", "stroke scale sigma", lambda v: BoucWenParams(sigma=v), ("zero", "negative")),
+]
+
+
+@pytest.mark.parametrize("name, make, value", [
+    pytest.param(name, make, NOT_POSITIVE[bad], id=f"{site}-{bad}")
+    for site, name, make, bads in POSITIVE_SETTINGS for bad in bads
+])
+def test_a_setting_that_must_be_positive_is_refused_by_name(name, make, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be positive and finite, got "):
+        make(value)
 
 
 class TestStepResponses:
